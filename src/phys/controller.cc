@@ -46,8 +46,9 @@ validatedPolicy(const PrecisionPolicy &policy)
     return p;
 }
 
-PrecisionController::PrecisionController(const PrecisionPolicy &policy)
-    : policy_(validatedPolicy(policy)),
+PrecisionController::PrecisionController(const PrecisionPolicy &policy,
+                                         Mode mode)
+    : policy_(validatedPolicy(policy)), mode_(mode),
       monitor_(policy_.energyThreshold, policy_.blowupFactor),
       narrowBits_(policy_.minNarrowBits), lcpBits_(policy_.minLcpBits)
 {
@@ -56,6 +57,11 @@ PrecisionController::PrecisionController(const PrecisionPolicy &policy)
 void
 PrecisionController::beginStep()
 {
+    if (mode_ == Mode::Fixed) {
+        const bool hold = holdSteps_ > 0;
+        narrowBits_ = hold ? fp::kFullMantissaBits : effectiveMinNarrowBits();
+        lcpBits_ = hold ? fp::kFullMantissaBits : effectiveMinLcpBits();
+    }
     auto &ctx = fp::PrecisionContext::current();
     ctx.setRoundingMode(policy_.roundingMode);
     ctx.setMantissaBits(fp::Phase::Narrow, narrowBits_);
@@ -65,6 +71,14 @@ PrecisionController::beginStep()
 PrecisionController::Action
 PrecisionController::endStep(double energy, double injected, bool finite)
 {
+    if (mode_ == Mode::Fixed) {
+        if (holdSteps_ > 0)
+            --holdSteps_;
+        blowUpPending_ = finite &&
+            monitor_.observe(energy, injected, true) ==
+                EnergyMonitor::Verdict::BlowUp;
+        return Action::Continue;
+    }
     switch (monitor_.observe(energy, injected, finite)) {
       case EnergyMonitor::Verdict::BlowUp:
         ++reexecutions_;
@@ -154,7 +168,7 @@ PrecisionController::forceFullPrecisionStep()
 void
 PrecisionController::holdFullPrecision(int steps)
 {
-    holdSteps_ = std::max(holdSteps_, steps);
+    holdSteps_ = mode_ == Mode::Fixed ? steps : std::max(holdSteps_, steps);
     forceFullPrecisionStep();
 }
 

@@ -323,9 +323,11 @@ World::step()
     if (listener_)
         listener_->beginStep(step_);
 
+    // Only the adaptive loop re-executes, so only it needs a snapshot.
     std::vector<BodyState> snapshot;
     if (controller_) {
-        snapshot = saveState();
+        if (controller_->mode() == PrecisionController::Mode::Adaptive)
+            snapshot = saveState();
         controller_->beginStep();
     }
 

@@ -4,12 +4,16 @@
  * ladder (DESIGN.md §9d): escalation sheds precision immediately,
  * the believability guard outranks degradation, relaxation restores
  * the normal floors, and the degraded floors/caps come from the
- * validated policy. The scheduler-driven end-to-end ladder lives in
+ * validated policy; the guard-only Fixed mode holds its floors. The
+ * scheduler-driven end-to-end ladder lives in
  * tests/srv/overload_test.cc; this file pins the state machine alone.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "fp/precision.h"
 #include "phys/controller.h"
 
 using namespace hfpu;
@@ -156,4 +160,96 @@ TEST(ControllerDegradation, ValidatedPolicyClampsDegradedKnobs)
     EXPECT_EQ(p.degradedNarrowBits, 0);
     EXPECT_EQ(p.degradedLcpBits, fp::kFullMantissaBits);
     EXPECT_EQ(p.degradedLcpIterations, 1);
+}
+
+namespace {
+
+using Mode = phys::PrecisionController::Mode;
+
+/** Run one fixed-mode step; returns the widths it was programmed at. */
+std::pair<int, int>
+fixedStep(phys::PrecisionController &ctrl, double energy)
+{
+    ctrl.beginStep();
+    const auto &ctx = fp::PrecisionContext::current();
+    const std::pair<int, int> bits{ctx.mantissaBits(fp::Phase::Narrow),
+                                   ctx.mantissaBits(fp::Phase::Lcp)};
+    EXPECT_EQ(ctrl.endStep(energy, 0.0, true),
+              phys::PrecisionController::Action::Continue);
+    return bits;
+}
+
+/** Leaves the thread context at full precision for the next test. */
+class ControllerFixedMode : public ::testing::Test
+{
+  protected:
+    void
+    TearDown() override
+    {
+        fp::PrecisionContext::current().setAllMantissaBits(
+            fp::kFullMantissaBits);
+    }
+};
+
+} // namespace
+
+TEST_F(ControllerFixedMode, ViolationsChangeNothing)
+{
+    phys::PrecisionController ctrl(guardedPolicy(), Mode::Fixed);
+    ctrl.restartEnergyHistory(100.0);
+    EXPECT_EQ(fixedStep(ctrl, 100.0), std::make_pair(16, 14));
+    // +20% is a violation: the adaptive loop would throttle up.
+    EXPECT_EQ(fixedStep(ctrl, 120.0), std::make_pair(16, 14));
+    EXPECT_EQ(fixedStep(ctrl, 120.0), std::make_pair(16, 14));
+    EXPECT_EQ(ctrl.violations(), 0);
+    EXPECT_FALSE(ctrl.blowUpPending());
+}
+
+TEST_F(ControllerFixedMode, BlowUpIsLeftToTheSupervisor)
+{
+    phys::PrecisionController ctrl(guardedPolicy(), Mode::Fixed);
+    ctrl.restartEnergyHistory(100.0);
+    fixedStep(ctrl, 300.0); // +200%: past threshold x blowupFactor
+    EXPECT_TRUE(ctrl.blowUpPending());
+    EXPECT_EQ(ctrl.reexecutions(), 0);
+    EXPECT_DOUBLE_EQ(ctrl.monitor().lastRelativeDelta(), 2.0);
+    fixedStep(ctrl, 300.0);
+    EXPECT_FALSE(ctrl.blowUpPending());
+    // A non-finite state is the supervisor's own check; the monitor
+    // keeps its last finite reading.
+    ctrl.beginStep();
+    ctrl.endStep(300.0, 0.0, /*finite=*/false);
+    EXPECT_FALSE(ctrl.blowUpPending());
+    EXPECT_DOUBLE_EQ(ctrl.monitor().lastRelativeDelta(), 0.0);
+}
+
+TEST_F(ControllerFixedMode, HoldReplaysExactlyTheStepsAskedFor)
+{
+    constexpr int kFull = fp::kFullMantissaBits;
+    phys::PrecisionController ctrl(guardedPolicy(), Mode::Fixed);
+    ctrl.restartEnergyHistory(100.0);
+    ctrl.holdFullPrecision(3);
+    // Counted in steps whatever the verdict, unlike the adaptive hold.
+    EXPECT_EQ(fixedStep(ctrl, 120.0), std::make_pair(kFull, kFull));
+    EXPECT_EQ(fixedStep(ctrl, 400.0), std::make_pair(kFull, kFull));
+    EXPECT_EQ(fixedStep(ctrl, 400.0), std::make_pair(kFull, kFull));
+    EXPECT_EQ(fixedStep(ctrl, 400.0), std::make_pair(16, 14));
+    // A new hold replaces the one in force instead of extending it.
+    ctrl.holdFullPrecision(3);
+    fixedStep(ctrl, 400.0);
+    ctrl.holdFullPrecision(1);
+    EXPECT_EQ(fixedStep(ctrl, 400.0), std::make_pair(kFull, kFull));
+    EXPECT_EQ(fixedStep(ctrl, 400.0), std::make_pair(16, 14));
+}
+
+TEST_F(ControllerFixedMode, DegradationMovesTheFloors)
+{
+    phys::PrecisionController ctrl(guardedPolicy(), Mode::Fixed);
+    ctrl.restartEnergyHistory(100.0);
+    ctrl.setDegradationLevel(DegradationLevel::CapIterations);
+    EXPECT_EQ(fixedStep(ctrl, 100.0), std::make_pair(12, 10));
+    EXPECT_EQ(ctrl.lcpIterationCap(), 8);
+    ctrl.setDegradationLevel(DegradationLevel::None);
+    EXPECT_EQ(fixedStep(ctrl, 100.0), std::make_pair(16, 14));
+    EXPECT_EQ(ctrl.lcpIterationCap(), 0);
 }

@@ -201,6 +201,31 @@ TEST(RecoveryLadder, CapacityZeroQuarantinesImmediately)
     EXPECT_EQ(r.recoveryEvents[0].action, "quarantine");
 }
 
+TEST(RecoveryLadder, EventsCarryTheControllersEnergyDelta)
+{
+    // At full precision a guarded and an unguarded world step alike,
+    // so both record the same nonzero last delta when the ladder
+    // fires; it comes from the world's own controller either way.
+    auto firstEvent = [](bool useController) {
+        srv::BatchScheduler scheduler({});
+        srv::JobSpec spec;
+        spec.steps = 20;
+        spec.useController = useController;
+        spec.factory = [] { return throwingScenario(10, 1); };
+        const auto results = scheduler.run({spec});
+        EXPECT_EQ(results[0].status, srv::WorldStatus::Completed);
+        EXPECT_FALSE(results[0].recoveryEvents.empty());
+        return results[0].recoveryEvents.empty()
+            ? srv::RecoveryEvent{}
+            : results[0].recoveryEvents[0];
+    };
+    const srv::RecoveryEvent guarded = firstEvent(true);
+    const srv::RecoveryEvent unguarded = firstEvent(false);
+    EXPECT_EQ(guarded.action, "rollback");
+    EXPECT_NE(guarded.relDelta, 0.0);
+    EXPECT_EQ(guarded.relDelta, unguarded.relDelta);
+}
+
 TEST(RecoveryLadder, RehabilitationCuresPrecisionSensitiveWorld)
 {
     // This driver only survives at full mantissa width, so every
