@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "fpu/hfpu.h"
 
@@ -263,18 +265,23 @@ class Parser
         return false;
     }
 
+    /** @p depth bounds the recursion, so hostile nesting fails cleanly. */
     Json
-    parseValue()
+    parseValue(int depth = 0)
     {
         skipWs();
         if (pos_ >= text_.size()) {
             fail("unexpected end of input");
             return Json();
         }
+        if (depth > kMaxDepth) {
+            fail("nesting too deep");
+            return Json();
+        }
         const char c = text_[pos_];
         switch (c) {
-        case '{': return parseObject();
-        case '[': return parseArray();
+        case '{': return parseObject(depth);
+        case '[': return parseArray(depth);
         case '"': return Json(parseString());
         case 't':
             if (literal("true"))
@@ -296,7 +303,7 @@ class Parser
     }
 
     Json
-    parseObject()
+    parseObject(int depth)
     {
         ++pos_; // '{'
         Json obj = Json::object();
@@ -316,7 +323,7 @@ class Parser
                 fail("expected ':'");
                 break;
             }
-            obj.set(key, parseValue());
+            obj.set(key, parseValue(depth + 1));
             if (failed_)
                 break;
             if (consume(','))
@@ -329,7 +336,7 @@ class Parser
     }
 
     Json
-    parseArray()
+    parseArray(int depth)
     {
         ++pos_; // '['
         Json arr = Json::array();
@@ -337,7 +344,7 @@ class Parser
         if (consume(']'))
             return arr;
         while (!failed_) {
-            arr.push(parseValue());
+            arr.push(parseValue(depth + 1));
             if (failed_)
                 break;
             if (consume(','))
@@ -419,33 +426,41 @@ class Parser
         return "";
     }
 
+    /** JSON's number grammar: -?digits(.digits)?([eE][+-]?digits)? */
     Json
     parseNumber()
     {
         const size_t start = pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+')) {
-            ++pos_;
-        }
-        bool digits = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                digits = true;
+        auto skip = [&](const char *chars) {
+            const bool hit = pos_ < text_.size() && text_[pos_] != '\0' &&
+                std::strchr(chars, text_[pos_]) != nullptr;
+            pos_ += hit;
+            return hit;
+        };
+        auto digits = [&] {
+            const size_t from = pos_;
+            while (pos_ < text_.size() &&
+                   std::isdigit(static_cast<unsigned char>(text_[pos_])))
                 ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '-' ||
-                       c == '+') {
-                ++pos_;
-            } else {
-                break;
-            }
+            return pos_ > from;
+        };
+        skip("-");
+        bool ok = digits() && (!skip(".") || digits());
+        if (ok && skip("eE")) {
+            skip("+-");
+            ok = digits();
         }
-        if (!digits) {
-            fail("expected value");
+        const double n = ok ? std::strtod(
+            text_.substr(start, pos_ - start).c_str(), nullptr) : 0.0;
+        if (!ok || !std::isfinite(n)) {
+            fail(ok ? "number out of range"
+                    : pos_ == start ? "expected value" : "malformed number");
             return Json();
         }
-        return Json(std::stod(text_.substr(start, pos_ - start)));
+        return Json(n);
     }
+
+    static constexpr int kMaxDepth = 256;
 
     const std::string &text_;
     std::string *error_;

@@ -71,6 +71,41 @@ TEST(Json, ParseRejectsMalformedInput)
     EXPECT_TRUE(Json::parse("", nullptr).isNull());
 }
 
+void
+expectRejected(const std::string &text)
+{
+    std::string error;
+    EXPECT_TRUE(Json::parse(text, &error).isNull());
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(Json, ParseRejectsOverflowingNumber) { expectRejected("1e999"); }
+
+TEST(Json, ParseRejectsNegativeOverflow) { expectRejected("-1e400"); }
+
+TEST(Json, ParseRejectsDoubleMinus) { expectRejected("--5"); }
+
+TEST(Json, ParseRejectsTwoDecimalPoints) { expectRejected("[1.2.3]"); }
+
+TEST(Json, ParseRejectsEmptyExponent) { expectRejected("1e"); }
+
+TEST(Json, ParseRejectsDeepNesting)
+{
+    expectRejected(std::string(200000, '['));
+}
+
+TEST(Json, ParseAcceptsNumberGrammar)
+{
+    std::string error;
+    const Json v = Json::parse("[0, -1.5, 2e3, 4E-2, 1e+2, 1e-400]", &error);
+    ASSERT_TRUE(error.empty()) << error;
+    ASSERT_EQ(v.dump(), Json::parse(v.dump()).dump());
+    EXPECT_DOUBLE_EQ(v.at(1).asNumber(), -1.5);
+    EXPECT_DOUBLE_EQ(v.at(2).asNumber(), 2000.0);
+    EXPECT_DOUBLE_EQ(v.at(3).asNumber(), 0.04);
+    EXPECT_DOUBLE_EQ(v.at(4).asNumber(), 100.0);
+}
+
 TEST(Registry, CountersAndTimersAccumulate)
 {
     metrics::Registry registry;
