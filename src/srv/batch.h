@@ -25,11 +25,12 @@
  * identical run serially, batched on 1 thread, or batched on 16.
  *
  * Failure isolation is a recovery *ladder*, not a single trapdoor.
- * When a step fails — non-finite state, an unguarded energy blow-up,
- * or a thrown exception (including injected faults, src/fault) — the
- * scheduler rolls the world back K steps to a checkpoint from the
- * world's ring (World::pushCheckpoint is called before every step),
- * replays the window at full precision (precision backoff), and only
+ * When a step fails — non-finite state, a blow-up a Fixed-mode
+ * controller reports, or a thrown exception (including injected
+ * faults, src/fault) — the scheduler rolls the world back K steps to a
+ * checkpoint from the world's ring (World::pushCheckpoint is called
+ * before every step), replays the window at full precision through
+ * PrecisionController::holdFullPrecision (precision backoff), and only
  * after the per-world retry budget is exhausted quarantines the world
  * with a structured reason — without taking down the rest of the
  * batch. Quarantined worlds get a rehabilitation pass at the end of
@@ -98,9 +99,12 @@ struct JobSpec {
      * worlds deterministically.
      */
     uint64_t seed = 0;
-    /** Per-world precision policy (also used without the controller). */
+    /** Per-world precision policy. */
     phys::PrecisionPolicy policy;
-    /** Attach the dynamic precision controller / energy guard. */
+    /**
+     * Adapt precision with the controller's Section 4.2 loop; false
+     * runs its guard-only Fixed mode at the policy floors.
+     */
     bool useController = true;
     /** Record a per-step state-hash trace in the result. */
     bool hashTrace = false;
@@ -148,7 +152,7 @@ struct RecoveryEvent {
     /** What tripped the ladder ("non-finite state", "exception: ..."). */
     std::string cause;
     int rollbackSteps = 0;   //!< rollback depth (rollback events)
-    double relDelta = 0.0;   //!< monitor's last relative energy delta
+    double relDelta = 0.0;   //!< controller's last relative energy delta
     int budgetLeft = 0;      //!< retry budget remaining afterwards
 };
 

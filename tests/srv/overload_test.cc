@@ -164,9 +164,9 @@ TEST(OverloadLadder, BudgetPressureEscalatesBeforeAnyMiss)
 
 TEST(OverloadLadder, UnguardedWorldsDegradeViaIterationCap)
 {
-    // Without a PrecisionController the ladder still acts: mantissa
-    // floors through the thread context and the LCP iteration cap
-    // through World::setLcpIterationCap.
+    // A guard-only (Fixed) controller still walks the ladder: the
+    // degraded mantissa floors and the LCP iteration cap both come
+    // from PrecisionController::setDegradationLevel.
     metrics::Registry::global().reset();
     phys::VirtualClock clock(900, /*seed=*/5, /*jitterFrac=*/0.0);
     srv::BatchConfig config;

@@ -57,7 +57,7 @@ usage(const char *argv0)
         "  --narrow-bits N    minimum narrow-phase bits (default 23)\n"
         "  --mode M           rn | jamming | truncation (default "
         "jamming)\n"
-        "  --no-controller    fixed precision, no energy guard\n"
+        "  --no-controller    fixed widths; the energy guard only recovers\n"
         "  --no-inner         disable island-level parallelism inside "
         "worlds\n"
         "  --progress         stream per-world slice progress lines\n"
