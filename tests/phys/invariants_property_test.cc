@@ -33,8 +33,12 @@ using namespace hfpu;
 
 namespace {
 
+// gtest names each instance's ctest after this struct's raw bytes, so
+// it holds no pointer (a std::string's moves with ASLR) and no padding:
+// the name buffer is zero-filled and the name is the same in every
+// build.
 struct PropertyCase {
-    std::string scenario;
+    char scenario[36];
     int bits;
 };
 
@@ -49,8 +53,11 @@ propertyCases()
     // hand-built scenarios; HFPU_SEED re-seeds them suite-wide.
     std::mt19937 rng = test::seededRng(/*salt=*/101);
     for (int i = 0; i < 2; ++i) {
-        cases.push_back(
-            {"Random#" + std::to_string(rng()), i == 0 ? 23 : 14});
+        PropertyCase c{};
+        std::string name = "Random#" + std::to_string(rng());
+        name.copy(c.scenario, sizeof c.scenario - 1);
+        c.bits = i == 0 ? 23 : 14;
+        cases.push_back(c);
     }
     return cases;
 }
@@ -206,7 +213,7 @@ TEST_P(Invariants, EnergyGuardNeverSilentlyBlowsUp)
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, Invariants, ::testing::ValuesIn(propertyCases()),
     [](const ::testing::TestParamInfo<PropertyCase> &info) {
-        std::string name = info.param.scenario + "_" +
+        std::string name = std::string(info.param.scenario) + "_" +
                            std::to_string(info.param.bits) + "bit";
         for (char &ch : name)
             if (ch == '#')

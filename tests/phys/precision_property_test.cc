@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -20,9 +21,13 @@ namespace {
 using namespace hfpu;
 using namespace hfpu::phys;
 
+// gtest names each instance's ctest after this struct's raw bytes, so
+// it has no padding: every byte is set and the name is the same in
+// every build.
 struct Param {
-    fp::RoundingMode mode;
     int lcpBits;
+    fp::RoundingMode mode;
+    std::uint8_t unused[3] = {};
 };
 
 std::string
@@ -140,14 +145,14 @@ TEST_P(PrecisionPropertyTest, SolverImpulsesRemainNonNegativeOnContacts)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PrecisionPropertyTest,
     ::testing::Values(
-        Param{fp::RoundingMode::RoundToNearest, 23},
-        Param{fp::RoundingMode::RoundToNearest, 10},
-        Param{fp::RoundingMode::RoundToNearest, 6},
-        Param{fp::RoundingMode::Jamming, 12},
-        Param{fp::RoundingMode::Jamming, 8},
-        Param{fp::RoundingMode::Jamming, 5},
-        Param{fp::RoundingMode::Truncation, 12},
-        Param{fp::RoundingMode::Truncation, 8}),
+        Param{23, fp::RoundingMode::RoundToNearest},
+        Param{10, fp::RoundingMode::RoundToNearest},
+        Param{6, fp::RoundingMode::RoundToNearest},
+        Param{12, fp::RoundingMode::Jamming},
+        Param{8, fp::RoundingMode::Jamming},
+        Param{5, fp::RoundingMode::Jamming},
+        Param{12, fp::RoundingMode::Truncation},
+        Param{8, fp::RoundingMode::Truncation}),
     paramName);
 
 } // namespace
