@@ -33,7 +33,7 @@ uniform01(uint64_t x)
 }
 
 const char *const kKindNames[kNumFaultKinds] = {
-    "bitflip", "nan", "inf", "table", "throw", "stall",
+    "bitflip", "nan", "inf", "table", "throw",
 };
 
 /** Strip leading/trailing spaces and tabs in place. */
@@ -144,14 +144,6 @@ parseToken(const std::string &token, FaultSpec &spec, std::string *error)
         spec.maxInjections = v;
         return true;
     }
-    if (key == "stall-us") {
-        long v = 0;
-        if (!parseLong(value, &v) || v <= 0 || v > 1000000)
-            return fail(error, "bad stall-us: '" + value +
-                                   "' (want 1..1000000)");
-        spec.stallMicros = static_cast<int>(v);
-        return true;
-    }
     return fail(error, "unknown fault-spec key: '" + key + "'");
 }
 
@@ -168,17 +160,6 @@ FaultSpec::anyEnabled() const
 {
     for (double r : rate) {
         if (r > 0.0)
-            return true;
-    }
-    return false;
-}
-
-bool
-FaultSpec::affectsState() const
-{
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        if (static_cast<FaultKind>(k) != FaultKind::PoolStall &&
-            rate[k] > 0.0)
             return true;
     }
     return false;
@@ -229,8 +210,6 @@ FaultSpec::describe() const
     }
     if (maxInjections >= 0)
         out += ",max=" + std::to_string(maxInjections);
-    if (stallMicros != 2000)
-        out += ",stall-us=" + std::to_string(stallMicros);
     return out;
 }
 
@@ -251,7 +230,6 @@ thread_local Injector *t_current = nullptr;
 
 Injector::Injector(const FaultSpec &spec, uint64_t stream)
     : spec_(spec), streamSeed_(mixInto(spec.seed, stream)),
-      affectsState_(spec.affectsState()),
       scalarEnabled_(spec.scalarEnabled())
 {
 }
@@ -287,7 +265,7 @@ Injector::install(Injector *injector)
     t_current = injector;
     // The fp hook pushes every scalar op onto the slow path, so it is
     // only installed when a scalar-result kind can actually fire;
-    // stall/table/throw-only campaigns keep the inline fast path.
+    // table/throw-only campaigns keep the inline fast path.
     fp::PrecisionContext::current().setFaultHook(
         injector != nullptr && injector->scalarEnabled_ ? injector
                                                         : nullptr);
@@ -373,15 +351,6 @@ Injector::maybeThrowIsland(int island)
         throw InjectedFault(step_.load(std::memory_order_relaxed),
                             island);
     }
-}
-
-int
-Injector::chunkStallMicros()
-{
-    uint64_t payload;
-    if (roll(FaultKind::PoolStall, &payload))
-        return spec_.stallMicros;
-    return 0;
 }
 
 FaultStats

@@ -19,9 +19,7 @@
  *  - memoization / lookup-table hits (src/fpu): a corrupted table
  *    entry served as a hit;
  *  - solver islands (phys::World): a thrown InjectedFault, modeling a
- *    non-numeric failure inside one island's LCP solve;
- *  - worker-pool chunks (phys::WorkerPool): injected stalls, modeling
- *    scheduling jitter — timing-only, never state.
+ *    non-numeric failure inside one island's LCP solve.
  *
  * Determinism contract: every decision is a pure function of
  * (spec.seed, stream, epoch, step, kind, per-kind draw ordinal)
@@ -59,9 +57,8 @@ enum class FaultKind : uint8_t {
     MakeInf,      //!< replace a scalar FP result with +/-infinity
     TableCorrupt, //!< flip one mantissa bit of a memo/LUT hit
     IslandThrow,  //!< throw InjectedFault from a solver island
-    PoolStall,    //!< stall a worker-pool chunk (timing only)
 };
-constexpr int kNumFaultKinds = 6;
+constexpr int kNumFaultKinds = 5;
 
 /** Stable lowercase name ("bitflip", "nan", ...). */
 const char *faultKindName(FaultKind kind);
@@ -73,14 +70,12 @@ const char *faultKindName(FaultKind kind);
  *
  *   seed=<u64>            stream seed (default 1)
  *   bitflip=<rate>        per-draw probability in [0,1], per kind:
- *   nan=<rate>            bitflip | nan | inf | table | throw | stall
+ *   nan=<rate>            bitflip | nan | inf | table | throw
  *   inf=<rate>
  *   table=<rate>
  *   throw=<rate>
- *   stall=<rate>
  *   steps=<a>..<b>        only inject in step window [a,b] (default all)
  *   max=<n>               total injection budget (default unlimited)
- *   stall-us=<n>          stall length in microseconds (default 2000)
  *
  * Example: "seed=7,bitflip=2e-4,throw=0.01,steps=5..60,max=4".
  */
@@ -92,21 +87,18 @@ struct FaultSpec {
     int lastStep = std::numeric_limits<int>::max();
     /** Total injections allowed across all kinds (< 0 = unlimited). */
     long maxInjections = -1;
-    int stallMicros = 2000;
 
     double rateOf(FaultKind kind) const
     {
         return rate[static_cast<int>(kind)];
     }
-    /** Any kind has a positive rate. */
-    bool anyEnabled() const;
     /**
-     * Some enabled kind can change simulation state (everything but
-     * PoolStall). State-affecting injection forces the world's phases
-     * serial so FP-op draw ordinals stay deterministic, mirroring how
+     * Any kind has a positive rate. Every kind can change simulation
+     * state, so an enabled spec forces the world's phases serial and
+     * its FP-op draw ordinals stay deterministic, mirroring how
      * recorders and listeners already serialize the engine.
      */
-    bool affectsState() const;
+    bool anyEnabled() const;
     /** Scalar-result kinds (BitFlip/MakeNaN/MakeInf) enabled. */
     bool scalarEnabled() const;
 
@@ -153,12 +145,10 @@ class InjectedFault : public std::runtime_error
  * (RAII: ScopedInjection); the injection sites consult
  * Injector::current() — null means every site is a no-op.
  *
- * Thread notes: beginStep() is called by the simulating thread between
- * steps. The site hooks may run concurrently on pool workers when a
- * stall-only injector leaves the parallel phases enabled, so the draw
- * ordinals and counters are atomics; state-affecting kinds run with
- * the world's phases serialized, which is what makes their draw
- * sequence — and therefore the whole campaign — deterministic.
+ * Thread notes: beginStep() and every site hook run on the simulating
+ * thread. An enabled injector serializes the world's phases, so it
+ * never reaches a pool worker; that is what makes its draw sequence —
+ * and therefore the whole campaign — deterministic.
  */
 class Injector final : public fp::ScalarFaultHook
 {
@@ -181,13 +171,6 @@ class Injector final : public fp::ScalarFaultHook
     void disarm();
     /** The calling thread's armed injector (null = none). */
     static Injector *current();
-    /**
-     * Install @p injector (may be null) into the calling thread
-     * without ownership semantics — used by the worker pool's context
-     * snapshot to hand an armed injector to whichever worker executes
-     * a chunk of its world.
-     */
-    static void install(Injector *injector);
 
     /**
      * Note that the world is about to simulate @p step. A step number
@@ -204,16 +187,15 @@ class Injector final : public fp::ScalarFaultHook
     uint32_t mutateTableHit(uint32_t resultBits);
     /** Solver island entry; throws InjectedFault when a fault fires. */
     void maybeThrowIsland(int island);
-    /** Microseconds to stall the current pool chunk (0 = none). */
-    int chunkStallMicros();
     /** @} */
 
     const FaultSpec &spec() const { return spec_; }
-    bool affectsState() const { return affectsState_; }
     int epoch() const { return epoch_.load(std::memory_order_relaxed); }
     FaultStats stats() const;
 
   private:
+    /** Install @p injector (may be null) into the calling thread. */
+    static void install(Injector *injector);
     /**
      * One deterministic draw from @p kind's stream. True when a fault
      * fires; @p payload then holds mixer bits for the fault payload
@@ -223,7 +205,6 @@ class Injector final : public fp::ScalarFaultHook
 
     FaultSpec spec_;
     uint64_t streamSeed_;
-    bool affectsState_;
     bool scalarEnabled_;
     std::atomic<int> step_{std::numeric_limits<int>::min()};
     std::atomic<int> lastBegunStep_{std::numeric_limits<int>::min()};

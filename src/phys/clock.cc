@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 namespace hfpu {
 namespace phys {
@@ -47,13 +46,6 @@ SteadyClock::nowMicros()
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-void
-SteadyClock::sleepFor(int64_t micros)
-{
-    if (micros > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
 int64_t

@@ -4,9 +4,9 @@
 /**
  * @file
  * Time source abstraction for every latency-sensitive decision in the
- * stack: the batch scheduler's per-step/per-world deadline budgets and
- * the worker pool's stalled-chunk watchdog all read time through a
- * Clock, never through std::chrono directly. Two implementations:
+ * stack: the batch scheduler's per-step/per-world deadline budgets read
+ * time through a Clock, never through std::chrono directly. Two
+ * implementations:
  *
  *  - SteadyClock: the monotonic wall clock, for production service
  *    runs where deadlines mean real milliseconds.
@@ -16,8 +16,7 @@
  *    clock, "time" advances only when the simulation charges it, so
  *    every overload behavior — deadline misses, degradation ladder
  *    transitions, DeadlineExceeded quarantines — replays bitwise from
- *    the seed regardless of machine load or thread count, and injected
- *    worker stalls complete instantly instead of sleeping.
+ *    the seed regardless of machine load or thread count.
  *
  * The determinism contract of the overload layer rests on one rule:
  * decisions are driven by *per-stream accounting* (the sum of a
@@ -41,17 +40,6 @@ class Clock
 
     /** Monotonic reading (microseconds since an arbitrary origin). */
     virtual int64_t nowMicros() = 0;
-
-    /**
-     * Block for @p micros (steady) or advance the clock by @p micros
-     * without blocking (virtual). The worker pool's injected-stall
-     * site goes through here, which is what makes stall campaigns
-     * instantaneous and flake-free under a virtual clock.
-     */
-    virtual void sleepFor(int64_t micros) = 0;
-
-    /** True for simulated clocks (no real blocking, no wall time). */
-    virtual bool isVirtual() const { return false; }
 
     /**
      * Begin timing one world step; pass the returned token to
@@ -82,14 +70,13 @@ class SteadyClock final : public Clock
 {
   public:
     int64_t nowMicros() override;
-    void sleepFor(int64_t micros) override;
     int64_t stepBegin() override { return nowMicros(); }
     int64_t stepEnd(uint64_t stream, int step, int64_t token) override;
 };
 
 /**
  * Deterministic simulated clock. The global reading advances only via
- * sleepFor()/advance()/stepEnd(); a step's cost is
+ * advance()/stepEnd(); a step's cost is
  *
  *   cost(stream, step) = base * (1 + jitter * u)   u in [-1, 1)
  *
@@ -115,8 +102,6 @@ class VirtualClock final : public Clock
     {
         return now_.load(std::memory_order_relaxed);
     }
-    void sleepFor(int64_t micros) override { advance(micros); }
-    bool isVirtual() const override { return true; }
     int64_t stepBegin() override { return 0; }
     int64_t stepEnd(uint64_t stream, int step, int64_t token) override;
 

@@ -1,11 +1,8 @@
 #include "phys/parallel.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "csim/metrics.h"
-#include "fault/fault.h"
 #include "fp/precision.h"
 
 namespace hfpu {
@@ -25,14 +22,6 @@ struct ContextSnapshot {
     bool forceSlowPath;
     bool useSoftFloat;
     std::string metricsNamespace;
-    /**
-     * The submitting thread's armed fault injector (usually null).
-     * Only a stall-only injector ever reaches workers this way —
-     * state-affecting injection serializes the world's phases — and it
-     * outlives every nested batch of its world by construction (RAII
-     * arm/disarm around the world's whole slice).
-     */
-    fault::Injector *injector;
 
     static ContextSnapshot
     capture()
@@ -46,7 +35,6 @@ struct ContextSnapshot {
         s.forceSlowPath = ctx.forceSlowPath();
         s.useSoftFloat = ctx.useSoftFloat();
         s.metricsNamespace = metrics::ScopedNamespace::current();
-        s.injector = fault::Injector::current();
         return s;
     }
 
@@ -62,7 +50,6 @@ struct ContextSnapshot {
         ctx.setForceSlowPath(forceSlowPath);
         ctx.setUseSoftFloat(useSoftFloat);
         metrics::ScopedNamespace::exchange(metricsNamespace);
-        fault::Injector::install(injector);
     }
 };
 
@@ -97,93 +84,8 @@ WorkerPool::~WorkerPool()
         stop_ = true;
     }
     wake_.notify_all();
-    stallCv_.notify_all();
     for (std::thread &t : workers_)
         t.join();
-}
-
-void
-WorkerPool::setClock(Clock *clock)
-{
-    clock_ = clock != nullptr ? clock : &Clock::steady();
-}
-
-void
-WorkerPool::setChunkDeadline(int64_t micros)
-{
-    chunkDeadlineMicros_ = std::max<int64_t>(0, micros);
-}
-
-int64_t
-WorkerPool::watchdogFailovers() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return watchdogFailovers_;
-}
-
-int64_t
-WorkerPool::watchdogOverruns() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return watchdogOverruns_;
-}
-
-void
-WorkerPool::stallChunk(int micros)
-{
-    // Virtual time: charge the stall to the clock and move on. Stalls
-    // are timing-only by contract, so skipping the real sleep cannot
-    // change results — it only makes stall campaigns instantaneous.
-    if (clock_->isVirtual()) {
-        clock_->sleepFor(micros);
-        return;
-    }
-    if (chunkDeadlineMicros_ <= 0) {
-        clock_->sleepFor(micros);
-        return;
-    }
-    // Interruptible sleep: the watchdog bumps stallPreemptGen_ and
-    // notifies to cut a stalled chunk short (failover). A stall that
-    // would outlive the chunk deadline preempts *itself* at the
-    // deadline — cheaper and more deterministic than waiting for the
-    // submitter's scan, and safe because stalls are timing-only.
-    std::unique_lock<std::mutex> lock(mutex_);
-    const uint64_t gen = stallPreemptGen_;
-    const int64_t allowed =
-        std::min<int64_t>(micros, chunkDeadlineMicros_);
-    const bool preempted = stallCv_.wait_for(
-        lock, std::chrono::microseconds(allowed),
-        [&] { return stallPreemptGen_ != gen || stop_; });
-    if (!preempted && micros > chunkDeadlineMicros_) {
-        ++watchdogFailovers_;
-        metrics::Registry::global().count("pool/watchdog_failover");
-    }
-}
-
-void
-WorkerPool::watchdogScan(int64_t now)
-{
-    bool preempt = false;
-    for (ActiveChunk &chunk : activeChunks_) {
-        if (now - chunk.startMicros <= chunkDeadlineMicros_)
-            continue;
-        preempt = true;
-        if (!chunk.overrunCounted) {
-            chunk.overrunCounted = true;
-            ++watchdogOverruns_;
-            metrics::Registry::global().count("pool/watchdog_overrun");
-        }
-    }
-    if (preempt) {
-        // Cut any in-flight injected stalls short. A chunk past
-        // deadline that is *not* stalled keeps running (it cannot be
-        // preempted); it stays counted as an overrun and the
-        // scheduler-level deadline ladder deals with its world.
-        ++stallPreemptGen_;
-        ++watchdogFailovers_;
-        metrics::Registry::global().count("pool/watchdog_failover");
-        stallCv_.notify_all();
-    }
 }
 
 void
@@ -194,42 +96,12 @@ WorkerPool::runChunk(std::unique_lock<std::mutex> &lock, Batch &batch,
     const int end = std::min(batch.size, begin + batch.grain);
     batch.next = end;
     ++batch.running;
-    // Track only under the real clock: virtual global time advances
-    // from every stream's charges, so per-chunk wall accounting would
-    // be noise there (and virtual runs cannot genuinely hang anyway).
-    const bool track = chunkDeadlineMicros_ > 0 && !clock_->isVirtual();
-    std::list<ActiveChunk>::iterator self;
-    if (track) {
-        ActiveChunk chunk;
-        chunk.startMicros = clock_->nowMicros();
-        self = activeChunks_.insert(activeChunks_.end(), chunk);
-    }
     lock.unlock();
     if (applySnapshot)
         batch.snapshot.apply();
-    // Fault seam: an injected stall delays this chunk. Timing only —
-    // results stay bit-identical — which is exactly what makes it a
-    // useful probe of the no-timing-dependence determinism contract.
-    if (fault::Injector *inj = fault::Injector::current()) {
-        if (const int us = inj->chunkStallMicros())
-            stallChunk(us);
-    }
     for (int i = begin; i < end; ++i)
         (*batch.fn)(i);
     lock.lock();
-    if (track) {
-        // Retire-time accounting: a genuinely slow chunk may finish
-        // between two watchdog scans (or before the submitter ever
-        // reaches the wait loop), so the overrun is settled here where
-        // it cannot be missed. The scan only adds *live* detection.
-        if (!self->overrunCounted &&
-            clock_->nowMicros() - self->startMicros >
-                chunkDeadlineMicros_) {
-            ++watchdogOverruns_;
-            metrics::Registry::global().count("pool/watchdog_overrun");
-        }
-        activeChunks_.erase(self);
-    }
     --batch.running;
     if (batch.next >= batch.size && batch.running == 0)
         done_.notify_all();
@@ -291,17 +163,7 @@ WorkerPool::parallelFor(int n, const std::function<void(int)> &fn,
     // context they would under serial execution.
     while (batch.next < batch.size)
         runChunk(lock, batch, /*applySnapshot=*/false);
-    if (chunkDeadlineMicros_ > 0 && !clock_->isVirtual()) {
-        // Watchdog: while waiting for stragglers, periodically scan
-        // the running chunks and fail over any past the deadline.
-        const auto poll = std::chrono::microseconds(std::clamp<int64_t>(
-            chunkDeadlineMicros_ / 2, 100, 50000));
-        while (!done_.wait_for(lock, poll,
-                               [&] { return batch.running == 0; }))
-            watchdogScan(clock_->nowMicros());
-    } else {
-        done_.wait(lock, [&] { return batch.running == 0; });
-    }
+    done_.wait(lock, [&] { return batch.running == 0; });
     batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
 }
 

@@ -34,29 +34,13 @@
  * worlds), so the install happens at every chunk boundary; results are
  * bit-exact regardless of which thread ran which chunk, since tasks
  * are independent.
- *
- * Overload resilience: the pool reads time through a Clock (clock.h)
- * and, when a chunk deadline is configured, runs a watchdog while a
- * batch drains — the submitting thread periodically scans the running
- * chunks and *fails over* any that have exceeded the deadline. An
- * injected stall (the src/fault PoolStall site) is cut short and
- * counted as `pool/watchdog_failover`; a genuinely long-running task
- * cannot be preempted, so it is counted as `pool/watchdog_overrun`
- * and left to the scheduler-level deadline ladder. Under a virtual
- * clock stalls never block at all, which is what makes saturation
- * campaigns timing-insensitive.
  */
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "phys/clock.h"
 
 namespace hfpu {
 namespace phys {
@@ -95,30 +79,6 @@ class WorkerPool
 
     int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-    /**
-     * Time source for stalls and the watchdog (null restores the
-     * process steady clock). Not owned; must outlive the pool. Set
-     * while the pool is idle.
-     */
-    void setClock(Clock *clock);
-    Clock &clock() const { return *clock_; }
-
-    /**
-     * Arm the stalled-chunk watchdog: while a batch drains, chunks
-     * running longer than @p micros are failed over (injected stalls
-     * preempted, true overruns counted). 0 disarms. Set while idle.
-     */
-    void setChunkDeadline(int64_t micros);
-    int64_t chunkDeadline() const { return chunkDeadlineMicros_; }
-
-    /** @name Watchdog counters (lifetime totals, thread-safe). */
-    /** @{ */
-    /** Injected stalls cut short by the watchdog. */
-    int64_t watchdogFailovers() const;
-    /** Chunks observed past deadline that could not be preempted. */
-    int64_t watchdogOverruns() const;
-    /** @} */
-
   private:
     struct Batch;
 
@@ -126,40 +86,15 @@ class WorkerPool
     /** Claim and execute one chunk of @p batch. Called under mutex_. */
     void runChunk(std::unique_lock<std::mutex> &lock, Batch &batch,
                   bool applySnapshot);
-    /**
-     * Serve an injected stall of @p micros at a chunk boundary:
-     * instant under a virtual clock, otherwise an interruptible sleep
-     * the watchdog can preempt. Called without mutex_ held.
-     */
-    void stallChunk(int micros);
-    /**
-     * Scan running chunks for deadline overruns and fail them over.
-     * Called under mutex_ by the watchdog; @p now from clock().
-     */
-    void watchdogScan(int64_t now);
 
     std::vector<std::thread> workers_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable done_;
-    std::condition_variable stallCv_;
 
     /** Open batches, submission order (workers scan back to front). */
     std::vector<Batch *> batches_;
     bool stop_ = false;
-
-    Clock *clock_ = &Clock::steady();
-    int64_t chunkDeadlineMicros_ = 0;
-    /** Start times of running chunks (tracked only when armed). */
-    struct ActiveChunk {
-        int64_t startMicros = 0;
-        bool overrunCounted = false;
-    };
-    std::list<ActiveChunk> activeChunks_;
-    /** Bumped to preempt in-flight injected stalls. */
-    uint64_t stallPreemptGen_ = 0;
-    int64_t watchdogFailovers_ = 0;
-    int64_t watchdogOverruns_ = 0;
 };
 
 } // namespace phys

@@ -56,14 +56,14 @@ World::World(const WorldConfig &config) : config_(config)
 bool
 World::parallelAllowed() const
 {
-    // A state-affecting fault injector serializes the phases (like a
-    // recorder or listener) so its per-step draw sequence — and hence
-    // the whole campaign — is deterministic. A stall-only injector
-    // keeps parallelism: stalls change timing, never state.
+    // An enabled fault injector serializes the phases (like a recorder
+    // or listener) so its per-step draw sequence — and hence the whole
+    // campaign — is deterministic, and its sites only ever run on the
+    // thread that armed it.
     const fault::Injector *injector = fault::Injector::current();
     return activePool() != nullptr && listener_ == nullptr &&
         fp::PrecisionContext::current().recorder() == nullptr &&
-        (injector == nullptr || !injector->affectsState());
+        (injector == nullptr || !injector->spec().anyEnabled());
 }
 
 BodyId
@@ -195,19 +195,14 @@ World::runPhases()
         ScopedPhase lcp(Phase::Lcp);
         metrics::ScopedTimer timer(registry, "phys/lcp");
         IterationForwarder forwarder(listener_);
-        // Overload degradation: the tighter of the world's own cap and
-        // an attached controller's cap bounds the relaxation passes.
+        // Overload degradation: an attached controller's cap bounds the
+        // relaxation passes.
         SolverConfig solverConfig = config_.solver;
-        {
-            int cap = lcpIterationCap_;
-            const int ctrlCap =
-                controller_ != nullptr ? controller_->lcpIterationCap() : 0;
-            if (ctrlCap > 0)
-                cap = cap > 0 ? std::min(cap, ctrlCap) : ctrlCap;
-            if (cap > 0 && cap < solverConfig.iterations) {
-                solverConfig.iterations = cap;
-                registry.count("phys/lcp_iteration_capped");
-            }
+        const int cap =
+            controller_ != nullptr ? controller_->lcpIterationCap() : 0;
+        if (cap > 0 && cap < solverConfig.iterations) {
+            solverConfig.iterations = cap;
+            registry.count("phys/lcp_iteration_capped");
         }
         // Per-island capture slots, flattened in island order below so
         // the record is deterministic under parallel solving.

@@ -169,21 +169,6 @@ class World
 
     int stepCount() const { return step_; }
 
-    /**
-     * Cap the LCP relaxation passes below the configured
-     * SolverConfig::iterations (0 = uncapped, the default). The
-     * overload-degradation ladder uses this to shed solver work under
-     * deadline pressure; an attached PrecisionController's own cap
-     * (PrecisionController::lcpIterationCap) composes with it — the
-     * tighter of the two wins. Deterministic: the cap is plain state,
-     * identical across thread counts.
-     */
-    void setLcpIterationCap(int cap)
-    {
-        lcpIterationCap_ = std::max(0, cap);
-    }
-    int lcpIterationCap() const { return lcpIterationCap_; }
-
     /** @name Checkpoint ring (recovery ladder).
      * The controller's single-snapshot re-execute (Section 4.2)
      * handles one bad step; the ring generalizes it so a supervisor
@@ -324,7 +309,6 @@ class World
     std::vector<Island> islands_;
     bool captureImpulses_ = false;
     std::vector<SolverImpulse> lastImpulses_;
-    int lcpIterationCap_ = 0;
     int lastPairCount_ = 0;
     int step_ = 0;
     std::deque<Checkpoint> checkpoints_;

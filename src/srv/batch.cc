@@ -85,8 +85,6 @@ BatchScheduler::BatchScheduler(const BatchConfig &config)
       pool_(std::make_unique<phys::WorkerPool>(
           std::max(1, config.threads)))
 {
-    pool_->setClock(clock_);
-    pool_->setChunkDeadline(config_.chunkDeadlineMicros);
 }
 
 BatchScheduler::~BatchScheduler() = default;

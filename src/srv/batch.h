@@ -62,9 +62,6 @@
  *    caps reject excess load *before* simulating it, with a
  *    structured retry-after hint instead of silent queue growth; a
  *    per-batch concurrency cap bounds how many worlds run at once.
- *  - Watchdog. The shared pool's stalled-chunk watchdog
- *    (WorkerPool::setChunkDeadline) detects chunks past deadline and
- *    fails injected stalls over instead of hanging the batch.
  */
 
 #include <atomic>
@@ -258,11 +255,6 @@ struct BatchConfig {
     int degradeAfterMisses = 2;
     /** Consecutive on-time steps before relaxing one rung. */
     int relaxAfterSteps = 8;
-    /**
-     * Stalled-chunk watchdog deadline for the shared pool, in
-     * microseconds (0 = off); see WorkerPool::setChunkDeadline.
-     */
-    int64_t chunkDeadlineMicros = 0;
     /** @} */
     /** @name Admission control / backpressure. */
     /** @{ */

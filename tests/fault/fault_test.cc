@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -65,8 +66,7 @@ TEST(FaultSpecParse, RoundTripsThroughDescribe)
 {
     std::string error;
     const FaultSpec spec = FaultSpec::parse(
-        "seed=7,bitflip=0.25,throw=0.5,steps=5..60,max=4,stall-us=123",
-        &error);
+        "seed=7,bitflip=0.25,throw=0.5,steps=5..60,max=4", &error);
     EXPECT_TRUE(error.empty()) << error;
     EXPECT_EQ(spec.seed, 7u);
     EXPECT_DOUBLE_EQ(spec.rateOf(FaultKind::BitFlip), 0.25);
@@ -74,7 +74,6 @@ TEST(FaultSpecParse, RoundTripsThroughDescribe)
     EXPECT_EQ(spec.firstStep, 5);
     EXPECT_EQ(spec.lastStep, 60);
     EXPECT_EQ(spec.maxInjections, 4);
-    EXPECT_EQ(spec.stallMicros, 123);
 
     const FaultSpec again = FaultSpec::parse(spec.describe(), &error);
     EXPECT_TRUE(error.empty()) << error;
@@ -83,7 +82,6 @@ TEST(FaultSpecParse, RoundTripsThroughDescribe)
     EXPECT_EQ(again.firstStep, spec.firstStep);
     EXPECT_EQ(again.lastStep, spec.lastStep);
     EXPECT_EQ(again.maxInjections, spec.maxInjections);
-    EXPECT_EQ(again.stallMicros, spec.stallMicros);
 }
 
 TEST(FaultSpecParse, SemicolonSeparatorAndWhitespace)
@@ -117,28 +115,36 @@ TEST(FaultSpecParse, RejectsBadInput)
     }
 }
 
+TEST(FaultSpecParse, RejectsStallKeys)
+{
+    // No kind stalls pool chunks: both keys are unknown, and the error
+    // names the key.
+    const std::pair<const char *, const char *> stallKeys[] = {
+        {"stall=0.1", "'stall'"}, {"stall-us=5", "'stall-us'"}};
+    for (const auto &[text, key] : stallKeys) {
+        std::string error;
+        const FaultSpec spec = FaultSpec::parse(text, &error);
+        EXPECT_NE(error.find(key), std::string::npos) << text << ": " << error;
+        EXPECT_FALSE(spec.anyEnabled()) << text;
+    }
+}
+
 TEST(FaultSpecParse, EmptyMeansDisabled)
 {
     std::string error;
     const FaultSpec spec = FaultSpec::parse("", &error);
     EXPECT_TRUE(error.empty()) << error;
     EXPECT_FALSE(spec.anyEnabled());
-    EXPECT_FALSE(spec.affectsState());
     EXPECT_FALSE(spec.scalarEnabled());
 }
 
 TEST(FaultSpecParse, KindClassification)
 {
     EXPECT_TRUE(specWithRate(FaultKind::BitFlip, 0.1).scalarEnabled());
-    EXPECT_TRUE(specWithRate(FaultKind::MakeNaN, 0.1).affectsState());
-    EXPECT_TRUE(
-        specWithRate(FaultKind::TableCorrupt, 0.1).affectsState());
+    EXPECT_TRUE(specWithRate(FaultKind::MakeNaN, 0.1).anyEnabled());
+    EXPECT_TRUE(specWithRate(FaultKind::TableCorrupt, 0.1).anyEnabled());
     EXPECT_FALSE(
         specWithRate(FaultKind::TableCorrupt, 0.1).scalarEnabled());
-    // Stalls are timing-only: enabled, but not state-affecting.
-    const FaultSpec stall = specWithRate(FaultKind::PoolStall, 0.1);
-    EXPECT_TRUE(stall.anyEnabled());
-    EXPECT_FALSE(stall.affectsState());
 }
 
 TEST(FaultInjector, NaNAndInfPreserveSign)
@@ -195,19 +201,6 @@ TEST(FaultInjector, IslandThrowCarriesContext)
         EXPECT_NE(std::string(e.what()).find("injected"),
                   std::string::npos);
     }
-}
-
-TEST(FaultInjector, StallLengthFollowsSpec)
-{
-    FaultSpec spec = specWithRate(FaultKind::PoolStall, 1.0);
-    spec.stallMicros = 77;
-    Injector inj(spec);
-    inj.beginStep(0);
-    EXPECT_EQ(inj.chunkStallMicros(), 77);
-
-    Injector off(specWithRate(FaultKind::PoolStall, 0.0));
-    off.beginStep(0);
-    EXPECT_EQ(off.chunkStallMicros(), 0);
 }
 
 TEST(FaultInjector, ReplaysBitwiseFromSeed)
@@ -300,7 +293,6 @@ TEST(FaultInjector, ZeroRateArmedIsIdentity)
     EXPECT_EQ(inj.mutateScalarResult(fp::Opcode::Add, input), input);
     EXPECT_EQ(inj.mutateTableHit(input), input);
     EXPECT_NO_THROW(inj.maybeThrowIsland(0));
-    EXPECT_EQ(inj.chunkStallMicros(), 0);
     EXPECT_EQ(inj.stats().total(), 0u);
 }
 
@@ -360,10 +352,10 @@ TEST(FaultScalarPath, ArmedZeroRateInjectorIsBitwiseTransparent)
 
 TEST(FaultScalarPath, NonScalarCampaignLeavesFastPathInstalled)
 {
-    // A stall/table/throw-only campaign must not install the fp hook:
-    // the inline fast path stays live (zero scalar overhead).
+    // A table/throw-only campaign must not install the fp hook: the
+    // inline fast path stays live (zero scalar overhead).
     auto &ctx = fp::PrecisionContext::current();
-    FaultSpec spec = specWithRate(FaultKind::PoolStall, 1.0);
+    FaultSpec spec = specWithRate(FaultKind::IslandThrow, 1.0);
     Injector inj(spec);
     inj.beginStep(0);
     {

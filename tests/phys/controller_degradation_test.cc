@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the controller half of the overload-degradation
- * ladder (DESIGN.md §9d): escalation sheds precision immediately,
+ * ladder (DESIGN.md §9c): escalation sheds precision immediately,
  * the believability guard outranks degradation, relaxation restores
  * the normal floors, and the degraded floors/caps come from the
  * validated policy; the guard-only Fixed mode holds its floors. The

@@ -91,11 +91,13 @@ finiteVec(const phys::Vec3 &v)
 TEST_P(Invariants, StateStaysFiniteEveryStep)
 {
     const PropertyCase &c = GetParam();
-    scen::Scenario scenario = scen::makeScenario(c.scenario);
     phys::PrecisionPolicy policy;
     policy.minNarrowBits = c.bits;
     policy.minLcpBits = c.bits;
+    // Declared before the scenario so it outlives the world that points
+    // at it, also when an ASSERT returns early.
     phys::PrecisionController controller(policy);
+    scen::Scenario scenario = scen::makeScenario(c.scenario);
     scenario.world->setController(&controller);
 
     for (int step = 0; step < 80; ++step) {
@@ -114,18 +116,17 @@ TEST_P(Invariants, StateStaysFiniteEveryStep)
                 << c.scenario << " body " << b << " step " << step;
         }
     }
-    scenario.world->setController(nullptr);
 }
 
 TEST_P(Invariants, ContactImpulsesRespectConeAndSign)
 {
     const PropertyCase &c = GetParam();
-    scen::Scenario scenario = scen::makeScenario(c.scenario);
-    scenario.world->setCaptureImpulses(true);
     phys::PrecisionPolicy policy;
     policy.minNarrowBits = c.bits;
     policy.minLcpBits = c.bits;
     phys::PrecisionController controller(policy);
+    scen::Scenario scenario = scen::makeScenario(c.scenario);
+    scenario.world->setCaptureImpulses(true);
     scenario.world->setController(&controller);
 
     // One k-bit rounding of the clamp product mu * lambda_n, plus
@@ -169,17 +170,16 @@ TEST_P(Invariants, ContactImpulsesRespectConeAndSign)
     // sweep produces resting or colliding contacts within 80 steps.
     EXPECT_GT(normals, 0) << c.scenario;
     EXPECT_GT(frictions, 0) << c.scenario;
-    scenario.world->setController(nullptr);
 }
 
 TEST_P(Invariants, EnergyGuardNeverSilentlyBlowsUp)
 {
     const PropertyCase &c = GetParam();
-    scen::Scenario scenario = scen::makeScenario(c.scenario);
     phys::PrecisionPolicy policy;
     policy.minNarrowBits = c.bits;
     policy.minLcpBits = c.bits;
     phys::PrecisionController controller(policy);
+    scen::Scenario scenario = scen::makeScenario(c.scenario);
     scenario.world->setController(&controller);
 
     // Shadow monitor with the controller's own thresholds: whatever it
@@ -207,7 +207,6 @@ TEST_P(Invariants, EnergyGuardNeverSilentlyBlowsUp)
             << c.scenario << ": monitor flagged " << shadowViolations
             << " violations the controller never saw";
     }
-    scenario.world->setController(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(

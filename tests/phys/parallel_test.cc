@@ -9,15 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "csim/metrics.h"
-#include "fault/fault.h"
-#include "phys/clock.h"
 #include "fp/precision.h"
 #include "phys/parallel.h"
 #include "scen/scenario.h"
@@ -338,136 +335,6 @@ TEST(WorkerPool, WorkersInheritSubmitterMetricsNamespace)
     }
     EXPECT_EQ(metrics::Registry::global().counter("w7/task"), 64u);
     EXPECT_EQ(metrics::Registry::global().counter("task"), 0u);
-}
-
-// ---- Stalled-chunk watchdog -----------------------------------------
-
-namespace {
-
-/** A stall-only fault spec: rate 1 on PoolStall, everything else 0. */
-fault::FaultSpec
-stallSpec(int micros, long maxInjections = -1)
-{
-    fault::FaultSpec spec;
-    spec.rate[static_cast<int>(fault::FaultKind::PoolStall)] = 1.0;
-    spec.stallMicros = micros;
-    spec.maxInjections = maxInjections;
-    return spec;
-}
-
-} // namespace
-
-TEST(WorkerPoolWatchdog, CutsInjectedStallShortAtChunkDeadline)
-{
-    WorkerPool pool(2);
-    pool.setChunkDeadline(5000); // 5 ms
-    // One injected 2 s stall: without the watchdog this test would
-    // take 2 s; with it, the stall self-preempts at the deadline.
-    fault::Injector injector(stallSpec(2'000'000, /*maxInjections=*/1));
-    injector.beginStep(0); // enter the injection window
-    std::atomic<int> ran{0};
-    const auto start = std::chrono::steady_clock::now();
-    {
-        fault::ScopedInjection arm(&injector);
-        pool.parallelFor(8, [&](int) { ++ran; }, /*grain=*/1);
-    }
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    EXPECT_EQ(ran.load(), 8);
-    EXPECT_GE(pool.watchdogFailovers(), 1);
-    EXPECT_LT(ms, 1000.0); // generous: 5 ms expected, 2000 ms without
-}
-
-TEST(WorkerPoolWatchdog, NoDeadlineLetsStallsRunFull)
-{
-    WorkerPool pool(2);
-    ASSERT_EQ(pool.chunkDeadline(), 0);
-    fault::Injector injector(stallSpec(30'000, /*maxInjections=*/1));
-    injector.beginStep(0); // enter the injection window
-    const auto start = std::chrono::steady_clock::now();
-    {
-        fault::ScopedInjection arm(&injector);
-        pool.parallelFor(4, [](int) {}, /*grain=*/1);
-    }
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    EXPECT_GE(ms, 20.0); // the 30 ms stall really slept
-    EXPECT_EQ(pool.watchdogFailovers(), 0);
-}
-
-TEST(WorkerPoolWatchdog, VirtualClockMakesStallsInstantaneous)
-{
-    WorkerPool pool(2);
-    VirtualClock clock(0, /*seed=*/1, /*jitterFrac=*/0.0);
-    pool.setClock(&clock);
-    pool.setChunkDeadline(5000);
-    // Every chunk draws a 500 ms stall; under the virtual clock each
-    // is charged to simulated time and costs no wall time.
-    fault::Injector injector(stallSpec(500'000));
-    injector.beginStep(0); // enter the injection window
-    std::atomic<int> ran{0};
-    const auto start = std::chrono::steady_clock::now();
-    {
-        fault::ScopedInjection arm(&injector);
-        pool.parallelFor(8, [&](int) { ++ran; }, /*grain=*/1);
-    }
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    EXPECT_EQ(ran.load(), 8);
-    EXPECT_LT(ms, 2000.0);              // 8 x 500 ms would be 4 s
-    EXPECT_GE(clock.nowMicros(), 500'000); // charged to virtual time
-    EXPECT_EQ(pool.watchdogFailovers(), 0);
-    pool.setClock(nullptr);
-}
-
-TEST(WorkerPoolWatchdog, CountsOverrunsOfGenuinelySlowChunks)
-{
-    // Real work cannot be preempted — the watchdog's job is to *count*
-    // the overrun (the scheduler-level ladder handles the world). The
-    // submitter's poll loop only scans while it waits on stragglers,
-    // so run a few rounds to make the race vanishingly unlikely.
-    WorkerPool pool(4);
-    pool.setChunkDeadline(1000); // 1 ms
-    for (int round = 0; round < 3 && pool.watchdogOverruns() == 0;
-         ++round)
-        pool.parallelFor(
-            32,
-            [](int) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            },
-            /*grain=*/1);
-    EXPECT_GE(pool.watchdogOverruns(), 1);
-}
-
-TEST(WorkerPoolWatchdog, StallPreemptionPreservesResults)
-{
-    // The determinism probe: a preempted stall must leave the batch's
-    // results bit-identical to an unstalled run.
-    auto runSum = [](WorkerPool &pool, fault::Injector *injector) {
-        std::vector<double> out(64, 0.0);
-        fault::ScopedInjection arm(injector);
-        pool.parallelFor(
-            64, [&](int i) { out[static_cast<size_t>(i)] = 0.1 * i; },
-            /*grain=*/1);
-        double sum = 0.0;
-        for (double v : out)
-            sum += v;
-        return sum;
-    };
-    WorkerPool clean(3);
-    const double expected = runSum(clean, nullptr);
-
-    WorkerPool stalled(3);
-    stalled.setChunkDeadline(2000);
-    fault::Injector injector(stallSpec(100'000, /*maxInjections=*/4));
-    injector.beginStep(0); // enter the injection window
-    const double got = runSum(stalled, &injector);
-    EXPECT_EQ(expected, got);
-    EXPECT_GE(stalled.watchdogFailovers(), 1);
 }
 
 } // namespace

@@ -438,13 +438,4 @@ TEST(WorldValidation, StepRejectsNonPositiveOrNonFiniteDt)
     EXPECT_EQ(world.stepCount(), 1);
 }
 
-TEST(WorldValidation, LcpIterationCapClampsToZero)
-{
-    World world;
-    world.setLcpIterationCap(-5);
-    EXPECT_EQ(world.lcpIterationCap(), 0);
-    world.setLcpIterationCap(8);
-    EXPECT_EQ(world.lcpIterationCap(), 8);
-}
-
 } // namespace

@@ -157,9 +157,11 @@ TEST(OverloadLadder, BudgetPressureEscalatesBeforeAnyMiss)
     const srv::WorldResult &res = results[0];
     EXPECT_EQ(res.deadlineMisses, 0);
     EXPECT_GE(countAction(res, "downshift"), 1);
-    for (const auto &ev : res.degradationEvents)
-        if (ev.action == "downshift" || ev.action == "cap-iterations")
+    for (const auto &ev : res.degradationEvents) {
+        if (ev.action == "downshift" || ev.action == "cap-iterations") {
             EXPECT_EQ(ev.cause, "budget-pressure");
+        }
+    }
 }
 
 TEST(OverloadLadder, UnguardedWorldsDegradeViaIterationCap)

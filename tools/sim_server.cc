@@ -73,8 +73,8 @@ usage(const char *argv0)
         "                     "
         "'seed=7,bitflip=0.01,throw=0.005,steps=10..80'\n"
         "                     keys: seed, bitflip, nan, inf, table, "
-        "throw, stall,\n"
-        "                     steps=a..b, max=N, stall-us=N\n"
+        "throw,\n"
+        "                     steps=a..b, max=N\n"
         "  --checkpoints N    per-world checkpoint ring size "
         "(default 4; 0 = off,\n"
         "                     which requires --rollback 0)\n"
@@ -92,8 +92,6 @@ usage(const char *argv0)
         "quarantines\n"
         "                         as DeadlineExceeded (default 0 = "
         "off)\n"
-        "  --chunk-deadline-us N  worker-pool stalled-chunk watchdog "
-        "(default 0)\n"
         "  --degrade-after N      misses before escalating a rung "
         "(default 2)\n"
         "  --relax-after N        on-time steps before relaxing "
@@ -207,7 +205,6 @@ main(int argc, char **argv)
     int rehab_attempts = 1;
     long step_deadline_us = 0;
     long world_budget_us = 0;
-    long chunk_deadline_us = 0;
     int degrade_after = 2;
     int relax_after = 8;
     int max_pending = 0;
@@ -270,8 +267,6 @@ main(int argc, char **argv)
             step_deadline_us = parseIntArg("--step-deadline-us", next());
         } else if (!std::strcmp(argv[i], "--world-budget-us")) {
             world_budget_us = parseIntArg("--world-budget-us", next());
-        } else if (!std::strcmp(argv[i], "--chunk-deadline-us")) {
-            chunk_deadline_us = parseIntArg("--chunk-deadline-us", next());
         } else if (!std::strcmp(argv[i], "--degrade-after")) {
             degrade_after = nextInt();
         } else if (!std::strcmp(argv[i], "--relax-after")) {
@@ -351,11 +346,9 @@ main(int argc, char **argv)
                     "must hold a checkpoint that far back for the "
                     "recovery ladder to roll to (use --rollback 0 to "
                     "disable recovery)");
-    if (step_deadline_us < 0 || world_budget_us < 0 ||
-        chunk_deadline_us < 0)
+    if (step_deadline_us < 0 || world_budget_us < 0)
         configError("deadline flags (--step-deadline-us, "
-                    "--world-budget-us, --chunk-deadline-us) must be "
-                    ">= 0");
+                    "--world-budget-us) must be >= 0");
     if (degrade_after < 1 || relax_after < 1)
         configError("--degrade-after and --relax-after must be >= 1");
     if (max_pending < 0 || max_concurrent < 0)
@@ -412,7 +405,6 @@ main(int argc, char **argv)
     config.rehabAttempts = rehab_attempts;
     config.stepDeadlineMicros = step_deadline_us;
     config.worldBudgetMicros = world_budget_us;
-    config.chunkDeadlineMicros = chunk_deadline_us;
     config.degradeAfterMisses = degrade_after;
     config.relaxAfterSteps = relax_after;
     config.maxPendingWorlds = max_pending;
@@ -621,8 +613,6 @@ main(int argc, char **argv)
                    metrics::Json(static_cast<int64_t>(step_deadline_us)));
             oj.set("world_budget_us",
                    metrics::Json(static_cast<int64_t>(world_budget_us)));
-            oj.set("chunk_deadline_us",
-                   metrics::Json(static_cast<int64_t>(chunk_deadline_us)));
             oj.set("degrade_after", metrics::Json(degrade_after));
             oj.set("relax_after", metrics::Json(relax_after));
             oj.set("max_pending", metrics::Json(max_pending));
