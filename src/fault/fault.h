@@ -32,7 +32,7 @@
  *
  * Zero-cost when disabled: with no injector armed the fp fast path is
  * untouched (the hook folds into the cached plain-mode flags exactly
- * like HFPU_FORCE_SLOWPATH), and every other site is a thread-local
+ * like setForceSlowPath), and every other site is a thread-local
  * pointer test against null. Golden-trace tests pin that an armed
  * injector whose rates are all zero is still bit-identical.
  */

@@ -25,10 +25,9 @@
  * Release bench and the paper's baseline configurations. Reduction,
  * soft-float execution, and recording live in the out-of-line slow path
  * (detail::executeScalarSlow), which reads the same packed descriptor
- * in a single load. Defining HFPU_FORCE_SLOWPATH at build time (CMake
- * option of the same name), or calling setForceSlowPath(true) at run
- * time, routes every op through the slow path; results and statistics
- * are bit-identical either way, which the tests assert.
+ * in a single load. Calling setForceSlowPath(true) routes every op
+ * through the slow path; results and statistics are bit-identical
+ * either way, which the tests assert.
  */
 
 #include <array>
@@ -175,9 +174,9 @@ class PrecisionContext
     }
 
     /**
-     * Runtime escape hatch mirroring the HFPU_FORCE_SLOWPATH build
-     * option: route every scalar op through the out-of-line modeled
-     * path even when plain-mode execution would be legal. Results and
+     * Runtime escape hatch: route every scalar op through the
+     * out-of-line modeled path even when plain-mode execution would be
+     * legal. Results and
      * statistics are bit-identical; this exists so one binary can
      * cross-check the two dispatch tiers against each other.
      */
@@ -350,46 +349,39 @@ class ScopedFullPrecision
 inline float
 fadd(float a, float b)
 {
-#if !defined(HFPU_FORCE_SLOWPATH)
     PrecisionContext &ctx = PrecisionContext::current();
     if (ctx.plainMode()) [[likely]] {
         ctx.countOp(Opcode::Add);
         return a + b;
     }
-#endif
     return detail::executeScalarSlow(Opcode::Add, a, b);
 }
 
 inline float
 fsub(float a, float b)
 {
-#if !defined(HFPU_FORCE_SLOWPATH)
     PrecisionContext &ctx = PrecisionContext::current();
     if (ctx.plainMode()) [[likely]] {
         ctx.countOp(Opcode::Sub);
         return a - b;
     }
-#endif
     return detail::executeScalarSlow(Opcode::Sub, a, b);
 }
 
 inline float
 fmul(float a, float b)
 {
-#if !defined(HFPU_FORCE_SLOWPATH)
     PrecisionContext &ctx = PrecisionContext::current();
     if (ctx.plainMode()) [[likely]] {
         ctx.countOp(Opcode::Mul);
         return a * b;
     }
-#endif
     return detail::executeScalarSlow(Opcode::Mul, a, b);
 }
 
 inline float
 fdiv(float a, float b)
 {
-#if !defined(HFPU_FORCE_SLOWPATH)
     // Divide is never reduced, so the inline path only needs exact
     // host execution and no recorder — the active width is irrelevant.
     PrecisionContext &ctx = PrecisionContext::current();
@@ -397,20 +389,17 @@ fdiv(float a, float b)
         ctx.countOp(Opcode::Div);
         return a / b;
     }
-#endif
     return detail::executeScalarSlow(Opcode::Div, a, b);
 }
 
 inline float
 fsqrt(float a)
 {
-#if !defined(HFPU_FORCE_SLOWPATH)
     PrecisionContext &ctx = PrecisionContext::current();
     if (ctx.plainExact()) [[likely]] {
         ctx.countOp(Opcode::Sqrt);
         return std::sqrt(a);
     }
-#endif
     return detail::executeScalarSlow(Opcode::Sqrt, a, 0.0f);
 }
 /** @} */

@@ -41,7 +41,7 @@ Clock::steady()
 }
 
 int64_t
-SteadyClock::nowMicros()
+SteadyClock::stepBegin()
 {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -53,7 +53,7 @@ SteadyClock::stepEnd(uint64_t stream, int step, int64_t token)
 {
     (void)stream;
     (void)step;
-    return std::max<int64_t>(0, nowMicros() - token);
+    return std::max<int64_t>(0, stepBegin() - token); // now - start
 }
 
 VirtualClock::VirtualClock(int64_t stepCostMicros, uint64_t seed,
@@ -61,13 +61,6 @@ VirtualClock::VirtualClock(int64_t stepCostMicros, uint64_t seed,
     : base_(std::max<int64_t>(0, stepCostMicros)), seed_(seed),
       jitter_(std::clamp(jitterFrac, 0.0, 1.0))
 {
-}
-
-void
-VirtualClock::advance(int64_t micros)
-{
-    if (micros > 0)
-        now_.fetch_add(micros, std::memory_order_relaxed);
 }
 
 int64_t
@@ -89,9 +82,7 @@ int64_t
 VirtualClock::stepEnd(uint64_t stream, int step, int64_t token)
 {
     (void)token;
-    const int64_t cost = stepCost(stream, step);
-    advance(cost);
-    return cost;
+    return stepCost(stream, step);
 }
 
 } // namespace phys

@@ -20,12 +20,12 @@
  *
  * The determinism contract of the overload layer rests on one rule:
  * decisions are driven by *per-stream accounting* (the sum of a
- * world's own chargeStep() costs), never by comparing global now()
- * readings across worlds, because the interleaving of global
- * advancement is scheduling-dependent even under the virtual clock.
+ * world's own stepEnd() charges). The API enforces it: a Clock has no
+ * global reading to compare across worlds, and a VirtualClock holds no
+ * shared state at all — its charge is a pure function of
+ * (seed, stream, step).
  */
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -38,13 +38,10 @@ class Clock
   public:
     virtual ~Clock() = default;
 
-    /** Monotonic reading (microseconds since an arbitrary origin). */
-    virtual int64_t nowMicros() = 0;
-
     /**
      * Begin timing one world step; pass the returned token to
-     * stepEnd(). Steady clocks return now(); virtual clocks need no
-     * token and return 0.
+     * stepEnd(). Steady clocks return the current steady time;
+     * virtual clocks need no token and return 0.
      */
     virtual int64_t stepBegin() = 0;
 
@@ -52,8 +49,7 @@ class Clock
      * Cost, in microseconds, of the step begun at @p token. Steady
      * clocks return measured wall time; virtual clocks return the
      * deterministic cost of (stream, step) — independent of which
-     * thread ran it or what else was running — and advance the global
-     * reading by it.
+     * thread ran it or what else was running.
      *
      * @param stream per-world stream key (the batch scheduler passes
      *               the world's global batch index)
@@ -69,14 +65,13 @@ class Clock
 class SteadyClock final : public Clock
 {
   public:
-    int64_t nowMicros() override;
-    int64_t stepBegin() override { return nowMicros(); }
+    int64_t stepBegin() override;
     int64_t stepEnd(uint64_t stream, int step, int64_t token) override;
 };
 
 /**
- * Deterministic simulated clock. The global reading advances only via
- * advance()/stepEnd(); a step's cost is
+ * Deterministic simulated clock with no state shared between worlds.
+ * stepEnd() charges a step's cost,
  *
  *   cost(stream, step) = base * (1 + jitter * u)   u in [-1, 1)
  *
@@ -98,19 +93,12 @@ class VirtualClock final : public Clock
     explicit VirtualClock(int64_t stepCostMicros = 1000,
                           uint64_t seed = 1, double jitterFrac = 0.0);
 
-    int64_t nowMicros() override
-    {
-        return now_.load(std::memory_order_relaxed);
-    }
     int64_t stepBegin() override { return 0; }
     int64_t stepEnd(uint64_t stream, int step, int64_t token) override;
 
-    /** Advance the global reading (never goes backwards). */
-    void advance(int64_t micros);
-
     /**
      * Deterministic cost of one (stream, step) under the configured
-     * model — what stepEnd() charges, without advancing the clock.
+     * model — what stepEnd() charges.
      */
     int64_t stepCost(uint64_t stream, int step) const;
 
@@ -125,7 +113,6 @@ class VirtualClock final : public Clock
     }
 
   private:
-    std::atomic<int64_t> now_{0};
     int64_t base_;
     uint64_t seed_;
     double jitter_;

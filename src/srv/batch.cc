@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <optional>
 
 #include "csim/metrics.h"
@@ -427,32 +426,9 @@ BatchScheduler::run(const std::vector<JobSpec> &jobs)
     // Rejection is deterministic — always the expansion-order tail —
     // and structured: status, reason, and a retry-after hint.
     const int wanted = static_cast<int>(tasks.size());
-    int admitted = wanted;
-    std::string rejectCause;
-    if (config_.maxWorldsPerRun > 0 && admitted > config_.maxWorldsPerRun) {
-        admitted = config_.maxWorldsPerRun;
-        rejectCause = "per-run cap " +
-            std::to_string(config_.maxWorldsPerRun);
-    }
-    if (config_.maxPendingWorlds > 0) {
-        // Reserve queue room against concurrent run() calls with a
-        // CAS loop; whatever cannot be reserved is rejected, never
-        // silently queued.
-        int cur = pending_.load(std::memory_order_relaxed);
-        int grant;
-        do {
-            grant = std::min(
-                admitted, std::max(0, config_.maxPendingWorlds - cur));
-        } while (!pending_.compare_exchange_weak(
-            cur, cur + grant, std::memory_order_relaxed));
-        if (grant < admitted) {
-            admitted = grant;
-            rejectCause = "pending " + std::to_string(cur + grant) +
-                " of max " + std::to_string(config_.maxPendingWorlds);
-        }
-    } else {
-        pending_.fetch_add(admitted, std::memory_order_relaxed);
-    }
+    const int admitted = config_.maxPendingWorlds > 0
+        ? std::min(wanted, config_.maxPendingWorlds)
+        : wanted;
     for (int i = admitted; i < wanted; ++i) {
         WorldTask &task = tasks[i];
         WorldResult &res = task.result;
@@ -470,57 +446,15 @@ BatchScheduler::run(const std::vector<JobSpec> &jobs)
             : static_cast<int64_t>(std::max(1, task.spec->steps)) * 1000;
         res.retryAfterMicros = perWorld +
             perWorld * static_cast<int64_t>(admitted);
-        res.quarantineReason = "Rejected (overload: " + rejectCause +
-            ", retry after " + std::to_string(res.retryAfterMicros) +
-            "us)";
+        res.quarantineReason = "Rejected (overload: pending " +
+            std::to_string(admitted) + " of max " +
+            std::to_string(config_.maxPendingWorlds) + ", retry after " +
+            std::to_string(res.retryAfterMicros) + "us)";
         metrics::Registry::global().count("srv/rejected");
     }
 
-    const int concurrency = config_.maxConcurrentWorlds > 0
-        ? std::min(threads(), config_.maxConcurrentWorlds)
-        : threads();
-    const int slots = std::min(concurrency, admitted);
-    auto finishWorld = [this](WorldTask &task) {
-        runWorld(task);
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-    };
-    if (slots <= 1) {
-        for (int i = 0; i < admitted; ++i)
-            finishWorld(tasks[i]);
-    } else {
-        // World-level work stealing: each slot owns a deque (filled
-        // round-robin so long jobs spread out), pops its own work from
-        // the back, and steals a whole world from the front of the
-        // next busy slot when it runs dry.
-        std::vector<std::deque<WorldTask *>> queues(slots);
-        for (int i = 0; i < admitted; ++i)
-            queues[i % slots].push_back(&tasks[i]);
-        std::mutex queueMutex;
-        auto nextTask = [&](int slot) -> WorldTask * {
-            std::lock_guard<std::mutex> lock(queueMutex);
-            if (!queues[slot].empty()) {
-                WorldTask *t = queues[slot].back();
-                queues[slot].pop_back();
-                return t;
-            }
-            for (int k = 1; k < slots; ++k) {
-                auto &victim = queues[(slot + k) % slots];
-                if (!victim.empty()) {
-                    WorldTask *t = victim.front();
-                    victim.pop_front();
-                    return t;
-                }
-            }
-            return nullptr;
-        };
-        pool_->parallelFor(
-            slots,
-            [&](int slot) {
-                while (WorldTask *task = nextTask(slot))
-                    finishWorld(*task);
-            },
-            /*grain=*/1);
-    }
+    pool_->parallelFor(
+        admitted, [&](int i) { runWorld(tasks[i]); }, /*grain=*/1);
 
     // Rehabilitation pass: every quarantined world gets full-precision
     // from-scratch reruns (each on a fresh fault stream). Serial and

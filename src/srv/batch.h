@@ -10,10 +10,10 @@
  * sweep: the batch layer is a pure throughput multiplier, never a
  * behavior change.
  *
- * Parallelism is two-level. Worlds are distributed over per-slot
- * work-stealing deques (a slot per pool thread; an idle slot steals
- * whole worlds from the front of a busy slot's deque), and inside a
- * world the engine's island/narrow-phase parallelFor submits nested
+ * Parallelism is two-level. Worlds are handed out one at a time by
+ * the pool's work queue (WorkerPool::parallelFor with a grain of one
+ * world, so an idle thread claims the next unstarted world), and inside
+ * a world the engine's island/narrow-phase parallelFor submits nested
  * batches to the same pool, so leftover threads help the worlds still
  * running. Per-world thread-local state (precision context, metric
  * namespace) is installed at every job-slice boundary, which is what
@@ -58,13 +58,11 @@
  *    steps relax the ladder one rung at a time. Every transition is
  *    a DegradationEvent in the result, a metrics counter, and a row
  *    in the sim_server JSON artifact.
- *  - Admission control. A bounded pending-worlds gate and per-run
- *    caps reject excess load *before* simulating it, with a
- *    structured retry-after hint instead of silent queue growth; a
- *    per-batch concurrency cap bounds how many worlds run at once.
+ *  - Admission control. A per-run cap on admitted worlds rejects
+ *    excess load *before* simulating it, with a structured
+ *    retry-after hint instead of silent queue growth.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -259,19 +257,11 @@ struct BatchConfig {
     /** @name Admission control / backpressure. */
     /** @{ */
     /**
-     * Upper bound on worlds pending across concurrent run() calls
-     * (0 = unbounded). Expansion-order tail worlds beyond the bound
-     * are Rejected with a retry-after hint instead of queued.
+     * Worlds admitted per run() call (0 = unbounded). Expansion-order
+     * tail worlds beyond the bound are Rejected with a retry-after
+     * hint instead of queued.
      */
     int maxPendingWorlds = 0;
-    /** Upper bound on worlds admitted per run() call (0 = unbounded). */
-    int maxWorldsPerRun = 0;
-    /**
-     * Cap on worlds simulated concurrently within a batch
-     * (0 = one per pool thread). Excess threads still help via
-     * inner (island-level) parallelism.
-     */
-    int maxConcurrentWorlds = 0;
     /** @} */
     /**
      * Progress sink, invoked under the scheduler's mutex (thread-safe
@@ -304,19 +294,6 @@ class BatchScheduler
 
     int threads() const;
 
-    /**
-     * Worlds admitted but not yet finished, across every in-flight
-     * run() call — the quantity the maxPendingWorlds gate compares
-     * against. Exposed for load monitoring.
-     */
-    int pendingWorlds() const
-    {
-        return pending_.load(std::memory_order_relaxed);
-    }
-
-    /** The clock in force (config clock or the process steady clock). */
-    phys::Clock &clock() const { return *clock_; }
-
   private:
     struct WorldTask;
 
@@ -331,7 +308,6 @@ class BatchScheduler
     phys::Clock *clock_;
     std::unique_ptr<phys::WorkerPool> pool_;
     std::mutex progressMutex_;
-    std::atomic<int> pending_{0};
 };
 
 } // namespace srv

@@ -327,7 +327,7 @@ TEST(FaultScalarPath, ArmedZeroRateInjectorIsBitwiseTransparent)
 {
     // The injector hook forces the out-of-line FP path; at zero rates
     // the results must still be bit-identical to the inline fast path
-    // (same guarantee the HFPU_FORCE_SLOWPATH cross-check pins).
+    // (same guarantee the setForceSlowPath cross-check pins).
     auto &ctx = fp::PrecisionContext::current();
     ctx.setAllMantissaBits(fp::kFullMantissaBits);
 

@@ -4,7 +4,7 @@
  * produce bit-identical trajectories and identical per-opcode dynamic
  * op counts whether scalar ops take the inline plain-mode fast path or
  * are routed through the out-of-line modeled slow path (the
- * setForceSlowPath escape hatch mirroring HFPU_FORCE_SLOWPATH), and
+ * setForceSlowPath escape hatch), and
  * whether the world steps serially or on a worker pool.
  */
 
@@ -83,10 +83,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
             << "opcode " << op;
 }
 
-// HFPU_FORCE_SLOWPATH builds have no fast path to compare against, so
-// the fast-vs-slow tests reduce to slow-vs-slow there; they still run
-// as a sanity check that the escape hatch build is deterministic.
-
 TEST(FastPath, BitExactVsForcedSlowOnBreakable)
 {
     const auto fast = runScenario("Breakable", 90, false, 1);
@@ -133,9 +129,7 @@ TEST(FastPath, ForceFlagRestoredByReset)
     EXPECT_FALSE(ctx.plainMode());
     ctx.reset();
     EXPECT_FALSE(ctx.forceSlowPath());
-#if !defined(HFPU_FORCE_SLOWPATH)
     EXPECT_TRUE(ctx.plainMode());
-#endif
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,10 +96,11 @@ TEST_P(Invariants, StateStaysFiniteEveryStep)
     policy.minNarrowBits = c.bits;
     policy.minLcpBits = c.bits;
     // Declared before the scenario so it outlives the world that points
-    // at it, also when an ASSERT returns early.
-    phys::PrecisionController controller(policy);
+    // at it, also when an ASSERT returns early. Held on the heap: gcc's
+    // -Wdangling-pointer flags a stack address stored into the world.
+    auto controller = std::make_unique<phys::PrecisionController>(policy);
     scen::Scenario scenario = scen::makeScenario(c.scenario);
-    scenario.world->setController(&controller);
+    scenario.world->setController(controller.get());
 
     for (int step = 0; step < 80; ++step) {
         scenario.step();

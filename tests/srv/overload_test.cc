@@ -285,7 +285,6 @@ TEST(OverloadDeterminism, SaturationCampaignNeverHangsOrLosesAWorld)
             EXPECT_FALSE(res.quarantineReason.empty());
         }
     }
-    EXPECT_EQ(scheduler.pendingWorlds(), 0);
 }
 
 TEST(OverloadAdmission, PendingBoundRejectsExpansionTail)
@@ -295,55 +294,28 @@ TEST(OverloadAdmission, PendingBoundRejectsExpansionTail)
     config.threads = 2;
     config.maxPendingWorlds = 3;
     srv::BatchScheduler scheduler(config);
-    const auto results = scheduler.run({explosionJob(5, 6)});
-    ASSERT_EQ(results.size(), 6u);
-    for (size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(results[i].status, srv::WorldStatus::Completed);
-        EXPECT_EQ(results[i].stepsDone, 5);
+    // The bound is per run() call: a second call on the same scheduler
+    // admits the same three worlds and rejects the same tail.
+    for (int call = 0; call < 2; ++call) {
+        SCOPED_TRACE(call);
+        const auto results = scheduler.run({explosionJob(5, 6)});
+        ASSERT_EQ(results.size(), 6u);
+        for (size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(results[i].status, srv::WorldStatus::Completed);
+            EXPECT_EQ(results[i].stepsDone, 5);
+        }
+        for (size_t i = 3; i < 6; ++i) {
+            const auto &res = results[i];
+            EXPECT_EQ(res.status, srv::WorldStatus::Rejected);
+            EXPECT_EQ(res.stepsDone, 0);     // never simulated
+            EXPECT_GT(res.retryAfterMicros, 0);
+            EXPECT_EQ(res.quarantineReason,
+                      "Rejected (overload: pending 3 of max 3, retry "
+                      "after 20000us)");
+            EXPECT_FALSE(res.rehabilitated); // rehab skips rejected worlds
+        }
     }
-    for (size_t i = 3; i < 6; ++i) {
-        const auto &res = results[i];
-        EXPECT_EQ(res.status, srv::WorldStatus::Rejected);
-        EXPECT_EQ(res.stepsDone, 0);     // never simulated
-        EXPECT_GT(res.retryAfterMicros, 0);
-        EXPECT_NE(res.quarantineReason.find("Rejected"),
-                  std::string::npos);
-        EXPECT_FALSE(res.rehabilitated); // rehab skips rejected worlds
-    }
-    EXPECT_EQ(metrics::Registry::global().counter("srv/rejected"), 3u);
-    EXPECT_EQ(scheduler.pendingWorlds(), 0);
-}
-
-TEST(OverloadAdmission, PerRunCapIndependentOfPendingGate)
-{
-    srv::BatchConfig config;
-    config.threads = 2;
-    config.maxWorldsPerRun = 2;
-    srv::BatchScheduler scheduler(config);
-    const auto results = scheduler.run({explosionJob(5, 5)});
-    int completed = 0, rejected = 0;
-    for (const auto &res : results)
-        (res.status == srv::WorldStatus::Completed ? completed
-                                                   : rejected)++;
-    EXPECT_EQ(completed, 2);
-    EXPECT_EQ(rejected, 3);
-}
-
-TEST(OverloadAdmission, ConcurrencyCapPreservesResultsBitwise)
-{
-    auto hashes = [](int maxConcurrent) {
-        srv::BatchConfig config;
-        config.threads = 4;
-        config.maxConcurrentWorlds = maxConcurrent;
-        srv::BatchScheduler scheduler(config);
-        std::vector<uint64_t> out;
-        for (const auto &res : scheduler.run({explosionJob(20, 6)}))
-            out.push_back(res.finalHash);
-        return out;
-    };
-    const auto unconstrained = hashes(0);
-    EXPECT_EQ(unconstrained, hashes(1));
-    EXPECT_EQ(unconstrained, hashes(2));
+    EXPECT_EQ(metrics::Registry::global().counter("srv/rejected"), 6u);
 }
 
 TEST(OverloadAdmission, RetryHintScalesWithQueueDepth)

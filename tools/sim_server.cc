@@ -96,10 +96,9 @@ usage(const char *argv0)
         "(default 2)\n"
         "  --relax-after N        on-time steps before relaxing "
         "(default 8)\n"
-        "  --max-pending N        admission cap on pending worlds "
-        "(default 0)\n"
-        "  --max-concurrent N     cap on worlds simulated at once "
-        "(default 0)\n"
+        "  --max-pending N        worlds admitted per run; the rest "
+        "are\n"
+        "                         rejected with a retry hint (default 0)\n"
         "  --virtual-clock US     deterministic virtual clock, US "
         "microseconds\n"
         "                         base step cost (0 = real steady "
@@ -208,7 +207,6 @@ main(int argc, char **argv)
     int degrade_after = 2;
     int relax_after = 8;
     int max_pending = 0;
-    int max_concurrent = 0;
     long virtual_clock_us = 0;
     double virtual_jitter = 0.5;
     std::string events_path;
@@ -273,8 +271,6 @@ main(int argc, char **argv)
             relax_after = nextInt();
         } else if (!std::strcmp(argv[i], "--max-pending")) {
             max_pending = nextInt();
-        } else if (!std::strcmp(argv[i], "--max-concurrent")) {
-            max_concurrent = nextInt();
         } else if (!std::strcmp(argv[i], "--virtual-clock")) {
             virtual_clock_us = parseIntArg("--virtual-clock", next());
         } else if (!std::strcmp(argv[i], "--virtual-jitter")) {
@@ -351,8 +347,8 @@ main(int argc, char **argv)
                     "--world-budget-us) must be >= 0");
     if (degrade_after < 1 || relax_after < 1)
         configError("--degrade-after and --relax-after must be >= 1");
-    if (max_pending < 0 || max_concurrent < 0)
-        configError("--max-pending and --max-concurrent must be >= 0");
+    if (max_pending < 0)
+        configError("--max-pending must be >= 0");
     if (virtual_clock_us < 0)
         configError("--virtual-clock must be >= 0");
     if (virtual_jitter < 0.0 || virtual_jitter > 1.0)
@@ -408,7 +404,6 @@ main(int argc, char **argv)
     config.degradeAfterMisses = degrade_after;
     config.relaxAfterSteps = relax_after;
     config.maxPendingWorlds = max_pending;
-    config.maxConcurrentWorlds = max_concurrent;
     // The virtual clock makes the whole overload campaign a pure
     // function of the seed: identical event streams on any --threads.
     std::optional<phys::VirtualClock> virtualClock;
@@ -440,9 +435,9 @@ main(int argc, char **argv)
     if (overload_mode)
         std::printf("overload campaign: step-deadline=%ldus "
                     "world-budget=%ldus degrade-after=%d relax-after=%d "
-                    "max-pending=%d max-concurrent=%d clock=%s\n",
+                    "max-pending=%d clock=%s\n",
                     step_deadline_us, world_budget_us, degrade_after,
-                    relax_after, max_pending, max_concurrent,
+                    relax_after, max_pending,
                     virtual_clock_us > 0
                         ? ("virtual(" + std::to_string(virtual_clock_us) +
                            "us)")
@@ -616,7 +611,6 @@ main(int argc, char **argv)
             oj.set("degrade_after", metrics::Json(degrade_after));
             oj.set("relax_after", metrics::Json(relax_after));
             oj.set("max_pending", metrics::Json(max_pending));
-            oj.set("max_concurrent", metrics::Json(max_concurrent));
             oj.set("virtual_clock_us",
                    metrics::Json(static_cast<int64_t>(virtual_clock_us)));
             oj.set("virtual_jitter", metrics::Json(virtual_jitter));
