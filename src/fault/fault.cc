@@ -33,8 +33,15 @@ uniform01(uint64_t x)
 }
 
 const char *const kKindNames[kNumFaultKinds] = {
-    "bitflip", "nan", "inf", "table", "throw",
+    "bitflip", "nan", "inf", "throw",
 };
+
+/**
+ * Each kind's key in the draw hash. 3 belonged to the deleted
+ * table-corruption kind; skipping it keeps every remaining stream, and
+ * so every recorded campaign, where it was.
+ */
+constexpr uint64_t kDrawKey[kNumFaultKinds] = {0, 1, 2, 4};
 
 /** Strip leading/trailing spaces and tabs in place. */
 std::string
@@ -265,7 +272,7 @@ Injector::install(Injector *injector)
     t_current = injector;
     // The fp hook pushes every scalar op onto the slow path, so it is
     // only installed when a scalar-result kind can actually fire;
-    // table/throw-only campaigns keep the inline fast path.
+    // throw-only campaigns keep the inline fast path.
     fp::PrecisionContext::current().setFaultHook(
         injector != nullptr && injector->scalarEnabled_ ? injector
                                                         : nullptr);
@@ -309,7 +316,7 @@ Injector::roll(FaultKind kind, uint64_t *payload)
     h = mixInto(h, static_cast<uint64_t>(
                        epoch_.load(std::memory_order_relaxed)));
     h = mixInto(h, static_cast<uint64_t>(step));
-    h = mixInto(h, static_cast<uint64_t>(k));
+    h = mixInto(h, kDrawKey[k]);
     h = mixInto(h, ordinal);
     if (uniform01(h) >= rate)
         return false;
@@ -330,15 +337,6 @@ Injector::mutateScalarResult(fp::Opcode op, uint32_t resultBits)
     if (roll(FaultKind::MakeInf, &payload))
         return sign | 0x7f800000u;
     if (roll(FaultKind::BitFlip, &payload))
-        return resultBits ^ (1u << (payload % fp::kFullMantissaBits));
-    return resultBits;
-}
-
-uint32_t
-Injector::mutateTableHit(uint32_t resultBits)
-{
-    uint64_t payload;
-    if (roll(FaultKind::TableCorrupt, &payload))
         return resultBits ^ (1u << (payload % fp::kFullMantissaBits));
     return resultBits;
 }

@@ -16,8 +16,6 @@
  *  - scalar FP results (fp::executeScalarSlow, via fp::ScalarFaultHook):
  *    mantissa bit-flips and NaN/Inf substitution — a mis-rounding or
  *    broken reduced datapath;
- *  - memoization / lookup-table hits (src/fpu): a corrupted table
- *    entry served as a hit;
  *  - solver islands (phys::World): a thrown InjectedFault, modeling a
  *    non-numeric failure inside one island's LCP solve.
  *
@@ -55,10 +53,9 @@ enum class FaultKind : uint8_t {
     BitFlip,      //!< flip one mantissa bit of a scalar FP result
     MakeNaN,      //!< replace a scalar FP result with a quiet NaN
     MakeInf,      //!< replace a scalar FP result with +/-infinity
-    TableCorrupt, //!< flip one mantissa bit of a memo/LUT hit
     IslandThrow,  //!< throw InjectedFault from a solver island
 };
-constexpr int kNumFaultKinds = 5;
+constexpr int kNumFaultKinds = 4;
 
 /** Stable lowercase name ("bitflip", "nan", ...). */
 const char *faultKindName(FaultKind kind);
@@ -70,9 +67,8 @@ const char *faultKindName(FaultKind kind);
  *
  *   seed=<u64>            stream seed (default 1)
  *   bitflip=<rate>        per-draw probability in [0,1], per kind:
- *   nan=<rate>            bitflip | nan | inf | table | throw
+ *   nan=<rate>            bitflip | nan | inf | throw
  *   inf=<rate>
- *   table=<rate>
  *   throw=<rate>
  *   steps=<a>..<b>        only inject in step window [a,b] (default all)
  *   max=<n>               total injection budget (default unlimited)
@@ -183,8 +179,6 @@ class Injector final : public fp::ScalarFaultHook
     /** @{ */
     /** Scalar FP result (fp::ScalarFaultHook). */
     uint32_t mutateScalarResult(fp::Opcode op, uint32_t resultBits) override;
-    /** Memoization / lookup-table hit result. */
-    uint32_t mutateTableHit(uint32_t resultBits);
     /** Solver island entry; throws InjectedFault when a fault fires. */
     void maybeThrowIsland(int island);
     /** @} */

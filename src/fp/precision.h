@@ -245,6 +245,12 @@ class PrecisionContext
     {
         ++opCounts_[static_cast<int>(op)];
     }
+    /** Count @p n plain-mode ops at once (the LCP lane kernel). */
+    void
+    countOps(Opcode op, uint64_t n)
+    {
+        opCounts_[static_cast<int>(op)] += n;
+    }
     /** @} */
 
   private:

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cassert>
 
-#include "fault/fault.h"
-
 namespace hfpu {
 namespace fpu {
 
@@ -130,19 +128,6 @@ LookupTable::serviceable(Opcode op, int mantissa_bits)
 
 bool
 LookupTable::lookup(Opcode op, uint32_t a, uint32_t b, uint32_t &out) const
-{
-    if (!lookupExact(op, a, b, out))
-        return false;
-    // Fault seam: a hit may serve a corrupted entry (transient read
-    // fault; the table contents are untouched).
-    if (fault::Injector *inj = fault::Injector::current())
-        out = inj->mutateTableHit(out);
-    return true;
-}
-
-bool
-LookupTable::lookupExact(Opcode op, uint32_t a, uint32_t b,
-                         uint32_t &out) const
 {
     if (!inTableDomain(a) || !inTableDomain(b))
         return false;

@@ -85,10 +85,6 @@ class LookupTable
     fp::RoundingMode roundingMode() const { return mode_; }
 
   private:
-    /** The exact table model; lookup() wraps it with the fault seam. */
-    bool lookupExact(fp::Opcode op, uint32_t a, uint32_t b,
-                     uint32_t &out) const;
-
     /** Round a fraction of @p frac_bits bits down to 5 bits; returns
      *  the rounded 5-bit fraction, setting @p carry on overflow. */
     uint32_t roundFraction(uint32_t frac, int frac_bits,

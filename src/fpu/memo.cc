@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "fault/fault.h"
 #include "fp/rounding.h"
 
 namespace hfpu {
@@ -53,11 +52,6 @@ MemoTable::lookup(uint32_t a, uint32_t b)
         if (row[w].valid && row[w].a == a && row[w].b == b) {
             ++hits_;
             row[w].lastUse = ++useClock_;
-            // Fault seam: a hit may serve a corrupted entry. The
-            // stored entry itself is left intact (a transient read
-            // fault, not a stuck cell).
-            if (fault::Injector *inj = fault::Injector::current())
-                return inj->mutateTableHit(row[w].result);
             return row[w].result;
         }
     }

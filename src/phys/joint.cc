@@ -1,6 +1,7 @@
 #include "phys/joint.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "fp/precision.h"
 
@@ -41,6 +42,16 @@ bilateralRow(BodyId a, BodyId b, Joint *owner)
 }
 
 } // namespace
+
+// --------------------------------------------------------------- Joint
+
+Joint::Joint(Type type, BodyId a, BodyId b) : type_(type), a_(a), b_(b)
+{
+    // A row's two sides must be two bodies: the LCP lane kernel reads
+    // both velocities before it writes either.
+    if (a == b)
+        throw std::invalid_argument("Joint: a joint needs two bodies");
+}
 
 // ----------------------------------------------------------- BallJoint
 

@@ -33,7 +33,8 @@ class Joint
   public:
     enum class Type : uint8_t { Ball, Hinge, Fixed, Distance };
 
-    Joint(Type type, BodyId a, BodyId b) : type_(type), a_(a), b_(b) {}
+    /** @throws std::invalid_argument when @p a == @p b. */
+    Joint(Type type, BodyId a, BodyId b);
     virtual ~Joint() = default;
 
     Type type() const { return type_; }
@@ -47,6 +48,12 @@ class Joint
     virtual void appendRows(std::vector<RigidBody> &bodies, float dt,
                             float erp,
                             std::vector<SolverRow> &rows) = 0;
+
+    /**
+     * Most rows appendRows() can emit (a hinge's stop row only while
+     * a limit is violated); the solver's lane grouping key.
+     */
+    virtual int maxRows() const = 0;
 
     /** @name Breakage. */
     /** @{ */
@@ -102,6 +109,7 @@ class BallJoint : public Joint
 
     void appendRows(std::vector<RigidBody> &bodies, float dt, float erp,
                     std::vector<SolverRow> &rows) override;
+    int maxRows() const override { return 3; }
 
   protected:
     /** Emit only the three point-constraint rows (reused by Hinge and
@@ -133,6 +141,7 @@ class HingeJoint : public BallJoint
 
     void appendRows(std::vector<RigidBody> &bodies, float dt, float erp,
                     std::vector<SolverRow> &rows) override;
+    int maxRows() const override { return hasLimits_ ? 6 : 5; }
 
   private:
     Vec3 localAxisA_, localAxisB_;
@@ -152,6 +161,7 @@ class FixedJoint : public BallJoint
 
     void appendRows(std::vector<RigidBody> &bodies, float dt, float erp,
                     std::vector<SolverRow> &rows) override;
+    int maxRows() const override { return 6; }
 
   private:
     math::Quat relOrient0_; // initial qA^-1 * qB
@@ -166,6 +176,7 @@ class DistanceJoint : public Joint
 
     void appendRows(std::vector<RigidBody> &bodies, float dt, float erp,
                     std::vector<SolverRow> &rows) override;
+    int maxRows() const override { return 1; }
 
     float restLength() const { return restLength_; }
 

@@ -208,51 +208,74 @@ World::runPhases()
         // the record is deterministic under parallel solving.
         std::vector<std::vector<SolverImpulse>> captured(
             captureImpulses_ ? islands_.size() : 0);
-        auto solveIsland = [&](int i) {
-            // Fault seam: a non-numeric failure inside one island's
-            // solve. Throws InjectedFault (state-affecting, so the
-            // phases run serially and the throw unwinds out of step()
-            // into the supervisor's recovery ladder).
-            if (fault::Injector *inj = fault::Injector::current())
-                inj->maybeThrowIsland(i);
-            const Island &island = islands_[i];
-            // Fully sleeping islands are skipped ("object disabling").
-            bool all_asleep = true;
+        // Fully sleeping islands are skipped ("object disabling").
+        auto asleep = [&](const Island &island) {
             for (BodyId id : island.bodies) {
-                if (!bodies_[id].asleep()) {
-                    all_asleep = false;
-                    break;
-                }
+                if (!bodies_[id].asleep())
+                    return false;
             }
-            if (all_asleep)
-                return;
-            IslandSolver solver(bodies_, contacts_, joints_, island,
-                                solverConfig, config_.dt);
-            solver.solve(i, listener_ ? &forwarder : nullptr);
-            if (captureImpulses_) {
-                const auto &rows = solver.rows();
-                auto &out = captured[i];
-                out.reserve(rows.size());
-                for (size_t r = 0; r < rows.size(); ++r) {
-                    SolverImpulse imp;
-                    imp.island = i;
-                    imp.row = static_cast<int>(r);
-                    imp.normalRow = rows[r].normalRow;
-                    imp.contact = r >= solver.jointRowCount();
-                    imp.lambda = rows[r].lambda;
-                    imp.mu = rows[r].mu;
-                    out.push_back(imp);
-                }
-            }
+            return true;
         };
-        if (parallelAllowed()) {
-            // Islands are independent LCPs (the paper's coarse-grain
-            // LCP parallelism).
-            activePool()->parallelFor(static_cast<int>(islands_.size()),
-                                      solveIsland);
+        const fault::Injector *injector = fault::Injector::current();
+        const bool lanes = fp::PrecisionContext::current().plainMode() &&
+            listener_ == nullptr &&
+            (injector == nullptr || !injector->spec().anyEnabled());
+        if (lanes) {
+            // Full precision on the host FPU: similar-sized islands
+            // relax together in SIMD lanes, bit-identical to the
+            // per-island path below.
+            std::vector<bool> awake(islands_.size());
+            for (size_t i = 0; i < islands_.size(); ++i)
+                awake[i] = !asleep(islands_[i]);
+            LaneSolver solver(bodies_, contacts_, joints_, islands_, awake,
+                              solverConfig, config_.dt);
+            auto *out = captureImpulses_ ? &captured : nullptr;
+            auto solveGroup = [&](int g) { solver.solveGroup(g, out); };
+            if (parallelAllowed()) {
+                activePool()->parallelFor(solver.groupCount(), solveGroup);
+            } else {
+                for (int g = 0; g < solver.groupCount(); ++g)
+                    solveGroup(g);
+            }
         } else {
-            for (int i = 0; i < static_cast<int>(islands_.size()); ++i)
-                solveIsland(i);
+            auto solveIsland = [&](int i) {
+                // Fault seam: a non-numeric failure inside one island's
+                // solve. Throws InjectedFault (state-affecting, so the
+                // phases run serially and the throw unwinds out of
+                // step() into the supervisor's recovery ladder).
+                if (fault::Injector *inj = fault::Injector::current())
+                    inj->maybeThrowIsland(i);
+                const Island &island = islands_[i];
+                if (asleep(island))
+                    return;
+                IslandSolver solver(bodies_, contacts_, joints_, island,
+                                    solverConfig, config_.dt);
+                solver.solve(i, listener_ ? &forwarder : nullptr);
+                if (captureImpulses_) {
+                    const auto &rows = solver.rows();
+                    auto &out = captured[i];
+                    out.reserve(rows.size());
+                    for (size_t r = 0; r < rows.size(); ++r) {
+                        SolverImpulse imp;
+                        imp.island = i;
+                        imp.row = static_cast<int>(r);
+                        imp.normalRow = rows[r].normalRow;
+                        imp.contact = r >= solver.jointRowCount();
+                        imp.lambda = rows[r].lambda;
+                        imp.mu = rows[r].mu;
+                        out.push_back(imp);
+                    }
+                }
+            };
+            if (parallelAllowed()) {
+                // Islands are independent LCPs (the paper's coarse-grain
+                // LCP parallelism).
+                activePool()->parallelFor(
+                    static_cast<int>(islands_.size()), solveIsland);
+            } else {
+                for (int i = 0; i < static_cast<int>(islands_.size()); ++i)
+                    solveIsland(i);
+            }
         }
         lastImpulses_.clear();
         for (auto &island_rows : captured) {

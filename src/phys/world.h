@@ -66,22 +66,6 @@ class WorkUnitListener
     virtual void endStep() {}
 };
 
-/**
- * One accumulated constraint impulse of the last step, in
- * deterministic (island index, row index) order. Friction rows point
- * at their limiting normal row via @p normalRow (an index into the
- * same island's records); contact-normal rows have normalRow == -1
- * and nonzero-area lambda >= 0 by LCP complementarity.
- */
-struct SolverImpulse {
-    int island = 0;     //!< island the row belonged to
-    int row = 0;        //!< row index within the island
-    int normalRow = -1; //!< island-local index of the limiting normal
-    bool contact = false; //!< contact row (vs joint row)
-    float lambda = 0.0f;  //!< accumulated impulse
-    float mu = 0.0f;      //!< friction coefficient (friction rows)
-};
-
 /** The simulation world. */
 class World
 {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "fp/precision.h"
@@ -196,18 +198,29 @@ evaluateBelievability(const std::string &scenario, ReducedPhases phases,
 
     // Reference run at full precision (the rounding mode is moot at 23
     // bits). Cached: sweeps re-evaluate the same scenario many times.
-    static std::map<std::pair<std::string, int>, RunResult>
-        reference_cache;
-    const auto key = std::make_pair(scenario, config.steps);
-    auto it = reference_cache.find(key);
-    if (it == reference_cache.end()) {
-        it = reference_cache
-                 .emplace(key, runOnce(scenario, fp::kFullMantissaBits,
-                                       fp::kFullMantissaBits, mode,
-                                       config))
-                 .first;
+    // The key holds every EvalConfig field runOnce() reads, so a
+    // reference recorded for a shorter window never serves a longer
+    // one. Map nodes are stable, so the reference outlives the lock.
+    using Key = std::tuple<std::string, int, double, int>;
+    static std::mutex cache_mutex;
+    static std::map<Key, RunResult> reference_cache;
+    const Key key{scenario, config.steps, config.energyThreshold,
+                  config.deviationWindow};
+    const RunResult *cached = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(cache_mutex);
+        auto it = reference_cache.find(key);
+        if (it != reference_cache.end())
+            cached = &it->second;
     }
-    const RunResult &reference = it->second;
+    if (cached == nullptr) {
+        RunResult fresh = runOnce(scenario, fp::kFullMantissaBits,
+                                  fp::kFullMantissaBits, mode, config);
+        std::lock_guard<std::mutex> lock(cache_mutex);
+        cached = &reference_cache.emplace(key, std::move(fresh))
+                      .first->second;
+    }
+    const RunResult &reference = *cached;
     RunResult run = runOnce(scenario, nb, lb, mode, config);
     BelievabilityResult result = run.result;
     result.referenceFinalEnergy = reference.result.finalEnergy;

@@ -129,6 +129,16 @@ TEST(FaultSpecParse, RejectsStallKeys)
     }
 }
 
+TEST(FaultSpecParse, RejectsTableKey)
+{
+    // No kind corrupts memo/LUT hits any more: table= is an unknown
+    // key, and the error names it.
+    std::string error;
+    const FaultSpec spec = FaultSpec::parse("table=0.00005", &error);
+    EXPECT_NE(error.find("'table'"), std::string::npos) << error;
+    EXPECT_FALSE(spec.anyEnabled());
+}
+
 TEST(FaultSpecParse, EmptyMeansDisabled)
 {
     std::string error;
@@ -142,9 +152,9 @@ TEST(FaultSpecParse, KindClassification)
 {
     EXPECT_TRUE(specWithRate(FaultKind::BitFlip, 0.1).scalarEnabled());
     EXPECT_TRUE(specWithRate(FaultKind::MakeNaN, 0.1).anyEnabled());
-    EXPECT_TRUE(specWithRate(FaultKind::TableCorrupt, 0.1).anyEnabled());
+    EXPECT_TRUE(specWithRate(FaultKind::IslandThrow, 0.1).anyEnabled());
     EXPECT_FALSE(
-        specWithRate(FaultKind::TableCorrupt, 0.1).scalarEnabled());
+        specWithRate(FaultKind::IslandThrow, 0.1).scalarEnabled());
 }
 
 TEST(FaultInjector, NaNAndInfPreserveSign)
@@ -176,16 +186,6 @@ TEST(FaultInjector, BitFlipTouchesExactlyOneMantissaBit)
     }
     EXPECT_EQ(inj.stats().injected[static_cast<int>(FaultKind::BitFlip)],
               64u);
-}
-
-TEST(FaultInjector, TableCorruptionFlipsOneBit)
-{
-    Injector inj(specWithRate(FaultKind::TableCorrupt, 1.0));
-    inj.beginStep(0);
-    const uint32_t input = fp::floatBits(1.5f);
-    const uint32_t out = inj.mutateTableHit(input);
-    EXPECT_EQ(bitsDiffering(input, out), 1);
-    EXPECT_EQ(input >> 23, out >> 23);
 }
 
 TEST(FaultInjector, IslandThrowCarriesContext)
@@ -291,7 +291,6 @@ TEST(FaultInjector, ZeroRateArmedIsIdentity)
     inj.beginStep(0);
     const uint32_t input = fp::floatBits(0.1f);
     EXPECT_EQ(inj.mutateScalarResult(fp::Opcode::Add, input), input);
-    EXPECT_EQ(inj.mutateTableHit(input), input);
     EXPECT_NO_THROW(inj.maybeThrowIsland(0));
     EXPECT_EQ(inj.stats().total(), 0u);
 }
@@ -352,7 +351,7 @@ TEST(FaultScalarPath, ArmedZeroRateInjectorIsBitwiseTransparent)
 
 TEST(FaultScalarPath, NonScalarCampaignLeavesFastPathInstalled)
 {
-    // A table/throw-only campaign must not install the fp hook: the
+    // A throw-only campaign must not install the fp hook: the
     // inline fast path stays live (zero scalar overhead).
     auto &ctx = fp::PrecisionContext::current();
     FaultSpec spec = specWithRate(FaultKind::IslandThrow, 1.0);

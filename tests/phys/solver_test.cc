@@ -3,12 +3,19 @@
  * Tests for the ODE-style constraint-row machinery: Jacobian padding
  * structure (the unit/zero entries Section 4.3.2 relies on), effective
  * masses, PGS convergence on analytically solvable problems, friction
- * clamping, and hinge joint limits.
+ * clamping, and hinge joint limits; the lane kernel's grouping rule
+ * and its bitwise agreement with the per-island solver at the edges
+ * (zero-row islands, a lone big island, a static body shared by
+ * several lanes, padded rows).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "fp/precision.h"
 #include "phys/row.h"
@@ -249,6 +256,226 @@ TEST_F(SolverTest, BreakageAccumulatesRowImpulses)
     IslandSolver solver(bodies, contacts, joints, island, config, 0.01f);
     solver.solve(0, nullptr);
     EXPECT_TRUE(handle->broken());
+}
+
+TEST_F(SolverTest, JointRejectsOneBodyOnBothSides)
+{
+    // The lane kernel reads both sides of a row before writing either,
+    // which matches the per-island order only for two distinct bodies.
+    EXPECT_THROW(DistanceJoint(3, 3, 1.0f), std::invalid_argument);
+    EXPECT_NO_THROW(DistanceJoint(2, 3, 1.0f));
+}
+
+TEST_F(SolverTest, GroupingSortsByRowsAndCutsAtHalfTheFirst)
+{
+    std::vector<int> order, starts;
+    groupIslands({0, 12, 6, 5, 12, 0, 24}, order, starts);
+    // Zero-row islands 0 and 5 join no group; 6 < 24 / 2 opens the
+    // second group; equal counts keep island order.
+    EXPECT_EQ(order, (std::vector<int>{6, 1, 4, 2, 3}));
+    EXPECT_EQ(starts, (std::vector<int>{0, 3, 5}));
+}
+
+TEST_F(SolverTest, GroupingCapsGroupsAtEightIslands)
+{
+    std::vector<int> order, starts;
+    groupIslands(std::vector<int>(10, 9), order, starts);
+    EXPECT_EQ(starts, (std::vector<int>{0, kLaneGroupIslands, 10}));
+    groupIslands({}, order, starts);
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(starts, (std::vector<int>{0}));
+}
+
+TEST_F(SolverTest, GroupingLeavesALoneBigIslandAlone)
+{
+    std::vector<int> order, starts;
+    groupIslands({3, 30, 3}, order, starts);
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    EXPECT_EQ(starts, (std::vector<int>{0, 1, 3}));
+}
+
+/**
+ * One dynamic sphere per island, each touching one shared static body
+ * through its own number of contacts (3 rows per contact). The static
+ * body moves, so every lane must read its real velocity. The last
+ * island's sphere falls infinitely fast, which turns its impulses to
+ * NaN: had its lane (which stores last) written the static body's
+ * slot, or a padding row written a body, the other islands would show
+ * it.
+ */
+struct LaneFixture {
+    std::vector<RigidBody> bodies;
+    ContactList contacts;
+    std::vector<std::unique_ptr<Joint>> joints;
+    std::vector<Island> islands;
+};
+
+LaneFixture
+makeLaneFixture(const std::vector<int> &contactsPerIsland)
+{
+    LaneFixture f;
+    f.bodies.push_back(RigidBody::makeStatic(
+        Shape::plane({0.0f, 1.0f, 0.0f}, 0.0f), {}));
+    f.bodies[0].linVel = {0.25f, 0.0f, -0.5f};
+    for (size_t i = 0; i < contactsPerIsland.size(); ++i) {
+        const float x = 2.0f * static_cast<float>(i);
+        RigidBody ball(Shape::sphere(0.5f), 1.0f + 0.1f * i,
+                       {x, 0.49f, 0.0f});
+        ball.linVel = {0.3f - 0.1f * i, -1.0f - 0.05f * i, 0.2f};
+        ball.angVel = {0.1f * i, 0.5f, -0.3f};
+        const BodyId id = static_cast<BodyId>(f.bodies.size());
+        f.bodies.push_back(ball);
+        Island island;
+        island.bodies = {id};
+        for (int c = 0; c < contactsPerIsland[i]; ++c) {
+            Contact contact;
+            contact.a = id;
+            contact.b = 0;
+            contact.pos = {x + 0.05f * c, 0.0f, 0.03f * c};
+            contact.normal = Vec3{0.02f * c, -1.0f, 0.01f}.normalized();
+            contact.depth = 0.004f * (c + 1);
+            island.contactIndices.push_back(
+                static_cast<int>(f.contacts.size()));
+            f.contacts.push_back(contact);
+        }
+        f.islands.push_back(island);
+    }
+    f.bodies.back().linVel.y = -std::numeric_limits<float>::infinity();
+    return f;
+}
+
+/** Bodies' velocities, row impulses and op counts of one solve. */
+struct LaneOutcome {
+    std::vector<uint32_t> bits;
+    std::array<uint64_t, hfpu::fp::kNumOpcodes> ops{};
+};
+
+uint32_t
+canonicalBits(float v)
+{
+    // NaN payloads are not part of the contract; their presence is.
+    return std::isnan(v) ? 0x7fc00000u : hfpu::fp::floatBits(v);
+}
+
+LaneOutcome
+outcome(const LaneFixture &f, const std::vector<SolverImpulse> &impulses)
+{
+    LaneOutcome out;
+    for (const RigidBody &b : f.bodies) {
+        for (float v : {b.linVel.x, b.linVel.y, b.linVel.z, b.angVel.x,
+                        b.angVel.y, b.angVel.z})
+            out.bits.push_back(canonicalBits(v));
+    }
+    for (const SolverImpulse &imp : impulses) {
+        out.bits.push_back(static_cast<uint32_t>(imp.island));
+        out.bits.push_back(static_cast<uint32_t>(imp.row));
+        out.bits.push_back(static_cast<uint32_t>(imp.normalRow));
+        out.bits.push_back(imp.contact ? 1u : 0u);
+        out.bits.push_back(canonicalBits(imp.lambda));
+        out.bits.push_back(canonicalBits(imp.mu));
+    }
+    const auto &ctx = hfpu::fp::PrecisionContext::current();
+    for (int op = 0; op < hfpu::fp::kNumOpcodes; ++op)
+        out.ops[op] = ctx.opCount(static_cast<hfpu::fp::Opcode>(op));
+    return out;
+}
+
+/** IslandSolver::solve() on every island, in island order. */
+LaneOutcome
+solveEachIsland(LaneFixture f)
+{
+    hfpu::fp::PrecisionContext::current().resetCounts();
+    std::vector<SolverImpulse> impulses;
+    for (size_t i = 0; i < f.islands.size(); ++i) {
+        IslandSolver solver(f.bodies, f.contacts, f.joints, f.islands[i],
+                            SolverConfig{}, 0.01f);
+        solver.solve(static_cast<int>(i), nullptr);
+        for (size_t r = 0; r < solver.rows().size(); ++r) {
+            const SolverRow &row = solver.rows()[r];
+            impulses.push_back({static_cast<int>(i), static_cast<int>(r),
+                                row.normalRow, r >= solver.jointRowCount(),
+                                row.lambda, row.mu});
+        }
+    }
+    return outcome(f, impulses);
+}
+
+/** The lane kernel on the same islands; returns its group count. */
+LaneOutcome
+solveInLanes(LaneFixture f, int *groups = nullptr)
+{
+    hfpu::fp::PrecisionContext::current().resetCounts();
+    std::vector<std::vector<SolverImpulse>> captured(f.islands.size());
+    LaneSolver lanes(f.bodies, f.contacts, f.joints, f.islands,
+                     std::vector<bool>(f.islands.size(), true),
+                     SolverConfig{}, 0.01f);
+    for (int g = 0; g < lanes.groupCount(); ++g)
+        lanes.solveGroup(g, &captured);
+    if (groups != nullptr)
+        *groups = lanes.groupCount();
+    std::vector<SolverImpulse> impulses;
+    for (const auto &island : captured)
+        impulses.insert(impulses.end(), island.begin(), island.end());
+    return outcome(f, impulses);
+}
+
+void
+expectSameOutcome(const LaneOutcome &lanes, const LaneOutcome &each)
+{
+    ASSERT_EQ(lanes.bits.size(), each.bits.size());
+    for (size_t i = 0; i < lanes.bits.size(); ++i)
+        ASSERT_EQ(lanes.bits[i], each.bits[i]) << "word " << i;
+    EXPECT_EQ(lanes.ops, each.ops);
+}
+
+TEST_F(SolverTest, LanesMatchPerIslandSolveWithPaddedRows)
+{
+    // 12, 9 and 6 rows in one group of seven: two SSE halves whose
+    // shorter lanes run padding rows.
+    const std::vector<int> contacts{4, 3, 2, 4, 3, 2, 4};
+    int groups = 0;
+    const LaneOutcome lanes =
+        solveInLanes(makeLaneFixture(contacts), &groups);
+    EXPECT_EQ(groups, 1);
+    expectSameOutcome(lanes, solveEachIsland(makeLaneFixture(contacts)));
+}
+
+TEST_F(SolverTest, LanesNeverWriteASharedStaticBody)
+{
+    // Four SSE lanes share the static body; the NaN of the last one
+    // must not reach the other three.
+    int groups = 0;
+    const LaneOutcome lanes =
+        solveInLanes(makeLaneFixture({2, 2, 2, 2}), &groups);
+    EXPECT_EQ(groups, 1);
+    expectSameOutcome(lanes, solveEachIsland(makeLaneFixture({2, 2, 2, 2})));
+    // Bodies 1-3 (islands 0-2) stayed finite.
+    for (int c = 6; c < 24; ++c)
+        EXPECT_NE(lanes.bits[c], 0x7fc00000u) << "component " << c;
+}
+
+TEST_F(SolverTest, LanesMatchPerIslandSolveForALoneBigIsland)
+{
+    // 24 rows alone in the scalar lane, then 6, 6 and 3 rows padded to
+    // 6 in three SSE lanes.
+    const std::vector<int> contacts{2, 8, 1, 2};
+    int groups = 0;
+    const LaneOutcome lanes =
+        solveInLanes(makeLaneFixture(contacts), &groups);
+    EXPECT_EQ(groups, 2);
+    expectSameOutcome(lanes, solveEachIsland(makeLaneFixture(contacts)));
+}
+
+TEST_F(SolverTest, LanesSkipZeroRowIslands)
+{
+    // Islands 0 and 2 have no contacts: no group, no ops, no impulses,
+    // bodies untouched; the rest share one padded group.
+    const std::vector<int> contacts{0, 2, 0, 2, 1};
+    int groups = 0;
+    const LaneOutcome lanes =
+        solveInLanes(makeLaneFixture(contacts), &groups);
+    EXPECT_EQ(groups, 1);
+    expectSameOutcome(lanes, solveEachIsland(makeLaneFixture(contacts)));
 }
 
 } // namespace

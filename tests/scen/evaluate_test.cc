@@ -101,6 +101,31 @@ TEST_F(EvaluateTest, TruncationDeviatesMoreThanRoundToNearest)
     }
 }
 
+TEST_F(EvaluateTest, ReferenceCacheKeysOnTheDeviationWindow)
+{
+    // A reference recorded for a 3-step window must not serve a later
+    // 61-step window, which would then compare only 3 steps. The
+    // expected value comes from a run whose reference has its own
+    // cache entry (one more step, same window, same trajectory).
+    EvalConfig short_window;
+    short_window.steps = 61;
+    short_window.deviationWindow = 3;
+    EvalConfig long_window = short_window;
+    long_window.deviationWindow = 61;
+    EvalConfig uncached = long_window;
+    uncached.steps = 62;
+    const auto eval = [](const EvalConfig &config) {
+        return evaluateBelievability("Explosions", ReducedPhases::LcpOnly,
+                                     23, 6, fp::RoundingMode::Jamming,
+                                     config);
+    };
+    const auto first = eval(short_window);
+    const auto later = eval(long_window);
+    const auto expected = eval(uncached);
+    ASSERT_NE(first.maxDeviation, expected.maxDeviation);
+    EXPECT_EQ(later.maxDeviation, expected.maxDeviation);
+}
+
 TEST_F(EvaluateTest, ResultsCarryReferenceEnergy)
 {
     const auto r = evaluateBelievability(

@@ -290,7 +290,7 @@ TEST(RecoveryLadder, ArmedOutOfWindowInjectorIsBitwiseTransparent)
             spec.policy.minLcpBits = 14;
             if (armed) {
                 spec.faults = fault::FaultSpec::parse(
-                    "seed=11,bitflip=1,nan=1,table=1,throw=1,"
+                    "seed=11,bitflip=1,nan=1,throw=1,"
                     "steps=1000..2000",
                     nullptr);
                 EXPECT_TRUE(spec.faults.anyEnabled());
@@ -326,7 +326,7 @@ TEST(ChaosCampaign, FiftyWorldsAllKindsReplayBitwise)
     const int steps = sanitizedBuild() ? 8 : 15;
     const std::string specText =
         "seed=2026,bitflip=0.000002,nan=0.0000005,inf=0.0000005,"
-        "table=0.00005,throw=0.001,steps=2..999";
+        "throw=0.001,steps=2..999";
 
     auto runCampaign = [&](int threads) {
         srv::BatchConfig config;

@@ -72,8 +72,7 @@ usage(const char *argv0)
         "  --fault-spec SPEC  arm the injector, e.g.\n"
         "                     "
         "'seed=7,bitflip=0.01,throw=0.005,steps=10..80'\n"
-        "                     keys: seed, bitflip, nan, inf, table, "
-        "throw,\n"
+        "                     keys: seed, bitflip, nan, inf, throw,\n"
         "                     steps=a..b, max=N\n"
         "  --checkpoints N    per-world checkpoint ring size "
         "(default 4; 0 = off,\n"
